@@ -45,6 +45,15 @@ _U_HI = 1.0 - 0.5 ** 53
 class Uniform01:
     """Marginal of the raw chain: Uniform on (0, 1)."""
 
+    mean = 0.5
+    mean_sq = 1.0 / 3.0
+
+    def quantile(self, u: np.ndarray) -> np.ndarray:
+        return np.array(u, dtype=float)  # a copy: values never alias the uniforms
+
+    def to_dict(self) -> dict:
+        return {"kind": "uniform"}
+
 
 @dataclass(frozen=True)
 class Normal:
@@ -58,6 +67,20 @@ class Normal:
             raise DomainError("Normal marginal needs sigma > 0")
         if not math.isfinite(self.mu):
             raise DomainError("Normal marginal needs a finite mean")
+
+    @property
+    def mean(self) -> float:
+        return self.mu
+
+    @property
+    def mean_sq(self) -> float:
+        return self.mu * self.mu + self.sigma * self.sigma
+
+    def quantile(self, u: np.ndarray) -> np.ndarray:
+        return self.mu + self.sigma * norm_ppf(u)
+
+    def to_dict(self) -> dict:
+        return {"kind": "normal", "mu": self.mu, "sigma": self.sigma}
 
 
 Marginal = Union[Uniform01, Normal]
@@ -118,12 +141,11 @@ def _transition(c: Copula, u_prev: np.ndarray, w: np.ndarray, sel) -> np.ndarray
         z = c.r * norm_ppf(u_prev) + math.sqrt(1.0 - c.r * c.r) * norm_ppf(w)
         return np.clip(norm_cdf(z), _U_LO, _U_HI)
     if isinstance(c, Fgm):
+        # the root in [0, 1] of a v^2 - (1 + a) v + w = 0, in the form that
+        # never divides by a; a discriminant that rounds below zero counts as 0
         a = c.theta * (1.0 - 2.0 * u_prev)
-        root = invert_increasing(
-            lambda v: v + a * v * (1.0 - v),
-            w,
-            fprime=lambda v: 1.0 + a * (1.0 - 2.0 * v),
-        )
+        b = 1.0 + a
+        root = 2.0 * w / (b + np.sqrt(np.maximum(b * b - 4.0 * a * w, 0.0)))
         return np.clip(root, _U_LO, _U_HI)
     if isinstance(c, Mardia):
         s = sel[:, 0]
@@ -183,13 +205,8 @@ def apply_marginal(s: ChainSample, m: Marginal) -> ChainSample:
     """Transform a uniform chain through the quantile of the target marginal."""
     if not isinstance(s.marginal, Uniform01):
         raise DomainError("apply_marginal expects a chain with uniform marginal")
-    if isinstance(m, Uniform01):
-        values = s.uniforms.copy()
-    elif isinstance(m, Normal):
-        values = m.mu + m.sigma * norm_ppf(s.uniforms)
-    else:
-        raise DomainError(f"unknown marginal {m!r}")
-    return ChainSample(copula=s.copula, marginal=m, seed=s.seed, uniforms=s.uniforms, values=values)
+    return ChainSample(copula=s.copula, marginal=m, seed=s.seed, uniforms=s.uniforms,
+                       values=m.quantile(s.uniforms))
 
 
 def sample_iid_normal(n: int, seed: int) -> np.ndarray:

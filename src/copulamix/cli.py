@@ -11,6 +11,7 @@ import functools
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -49,10 +50,10 @@ def _guard(fn):
     return wrapper
 
 
-def _load(config_path) -> ExperimentConfig:
-    if config_path is None:
-        return default_study_config()
-    return load_config(config_path)
+def _load(config_path, seed=None) -> ExperimentConfig:
+    """The config file's settings (or the built-in study), with --seed applied."""
+    cfg = default_study_config() if config_path is None else load_config(config_path)
+    return cfg if seed is None else replace(cfg, seed=seed)
 
 
 def _spec_argument(cfg: ExperimentConfig, text: str) -> Copula:
@@ -98,11 +99,10 @@ def main() -> None:
 @_guard
 def simulate(name, length, config_path, seed, out_dir):
     """Sample a stationary chain for the named copula and write it as CSV."""
-    cfg = _load(config_path)
+    cfg = _load(config_path, seed)
     if length < 1:
         raise ConfigError("--n must be at least 1")
-    use_seed = cfg.seed if seed is None else seed
-    path = simulate_to_csv(cfg, name, length, use_seed, out_dir or cfg.outputs)
+    path = simulate_to_csv(cfg, name, length, cfg.seed, out_dir or cfg.outputs)
     click.echo(str(path))
 
 
@@ -159,13 +159,7 @@ def _fmt(value) -> str:
 @_guard
 def table4(config_path, seed, out_dir, workers):
     """Run the full study grid and write table4.csv."""
-    cfg = _load(config_path)
-    if seed is not None:
-        cfg = ExperimentConfig(
-            copulas=cfg.copulas, marginal=cfg.marginal, sizes=cfg.sizes,
-            perturbations=cfg.perturbations, seed=seed,
-            replications=cfg.replications, outputs=cfg.outputs,
-        )
+    cfg = _load(config_path, seed)
     if workers < 1:
         raise ConfigError("--workers must be at least 1")
     rows = run_table(cfg, workers=workers)
@@ -190,13 +184,7 @@ def table4(config_path, seed, out_dir, workers):
 @_guard
 def figure_data_cmd(figure_id, config_path, seed, out_dir):
     """Write the plot-ready data files for one figure id (1-4)."""
-    cfg = _load(config_path)
-    if seed is not None:
-        cfg = ExperimentConfig(
-            copulas=cfg.copulas, marginal=cfg.marginal, sizes=cfg.sizes,
-            perturbations=cfg.perturbations, seed=seed,
-            replications=cfg.replications, outputs=cfg.outputs,
-        )
+    cfg = _load(config_path, seed)
     paths = figure_data(cfg, figure_id, out_dir or cfg.outputs)
     for path in paths:
         click.echo(str(path))

@@ -37,6 +37,10 @@ class Perturbation:
     def suffix(self) -> str:
         return f"{self.kind}{self.alpha:g}"
 
+    def apply(self, c: Copula) -> Copula:
+        """The shifted copula (1 - alpha) C + alpha Pi, or with M for kind 'm'."""
+        return perturb_pi(c, self.alpha) if self.kind == "pi" else perturb_m(c, self.alpha)
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -87,15 +91,13 @@ class ExperimentConfig:
             alpha = float(alpha_text)
         except ValueError:
             raise ConfigError(f"bad perturbation weight in {name!r}") from None
-        if not 0.0 <= alpha <= 1.0:
-            raise ConfigError(f"perturbation weight must lie in [0, 1], got {alpha}")
-        return perturb_pi(spec, alpha) if kind == "pi" else perturb_m(spec, alpha)
+        return Perturbation(kind, alpha).apply(spec)
 
     def to_dict(self) -> dict:
         return {
             "schema_version": SCHEMA_VERSION,
             "copulas": {name: to_dict(spec) for name, spec in self.copulas},
-            "marginal": _marginal_to_dict(self.marginal),
+            "marginal": self.marginal.to_dict(),
             "sizes": list(self.sizes),
             "perturbations": [{"kind": p.kind, "alpha": p.alpha} for p in self.perturbations],
             "seed": self.seed,
@@ -105,14 +107,6 @@ class ExperimentConfig:
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent) + "\n"
-
-
-def _marginal_to_dict(m: Marginal) -> dict:
-    if isinstance(m, Uniform01):
-        return {"kind": "uniform"}
-    if isinstance(m, Normal):
-        return {"kind": "normal", "mu": m.mu, "sigma": m.sigma}
-    raise ConfigError(f"unknown marginal {m!r}")
 
 
 def _marginal_from_dict(d) -> Marginal:
@@ -152,7 +146,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         outputs = str(doc.get("outputs", "results"))
     except ConfigError:
         raise
-    except (CopulamixError, TypeError, ValueError) as exc:
+    except (CopulamixError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
     if any(n < 1 for n in sizes):
         raise ConfigError("sample sizes must be positive")

@@ -218,7 +218,7 @@ class Mardia(Copula):
     def __post_init__(self):
         object.__setattr__(self, "a", float(self.a))
         object.__setattr__(self, "b", float(self.b))
-        if self.a < 0.0 or self.b < 0.0 or self.a + self.b > 1.0 + WEIGHT_TOL:
+        if not (self.a >= 0.0 and self.b >= 0.0 and self.a + self.b <= 1.0 + WEIGHT_TOL):
             raise DomainError(f"Mardia needs a, b >= 0 and a + b <= 1, got ({self.a}, {self.b})")
 
     def cdf_raw(self, u, v):
@@ -396,9 +396,9 @@ class Convex(Copula):
         comps = tuple(self.components)
         if not comps or len(ws) != len(comps):
             raise DomainError("Convex needs matching, nonempty weights and components")
-        if any(w <= 0.0 for w in ws):
+        if not all(w > 0.0 for w in ws):
             raise DomainError("Convex weights must be strictly positive")
-        if abs(sum(ws) - 1.0) > WEIGHT_TOL:
+        if not abs(sum(ws) - 1.0) <= WEIGHT_TOL:
             raise DomainError(f"Convex weights must sum to 1, got {sum(ws)!r}")
         merged: dict[Copula, float] = {}
         for w, comp in zip(ws, comps):
@@ -541,7 +541,7 @@ W = Countermonotone()
 def cdf(c: Copula, u, v):
     """C(u, v) for u, v in [0, 1]."""
     ua, va, scalar = _prep(u, v)
-    if np.any((ua < 0.0) | (ua > 1.0) | (va < 0.0) | (va > 1.0)):
+    if not np.all((ua >= 0.0) & (ua <= 1.0) & (va >= 0.0) & (va <= 1.0)):
         raise DomainError("cdf arguments must lie in [0, 1]")
     return _ret(c.cdf_raw(ua, va), scalar)
 
@@ -554,7 +554,7 @@ def density(c: Copula, u, v):
     folds with a singular factor.
     """
     ua, va, scalar = _prep(u, v)
-    if np.any((ua <= 0.0) | (ua >= 1.0) | (va <= 0.0) | (va >= 1.0)):
+    if not np.all((ua > 0.0) & (ua < 1.0) & (va > 0.0) & (va < 1.0)):
         raise DomainError("density arguments must lie strictly inside (0, 1)")
     return _ret(c.density_raw(ua, va), scalar)
 
@@ -562,9 +562,9 @@ def density(c: Copula, u, v):
 def conditional_cdf(c: Copula, u, v):
     """P(next <= v | previous = u), the u-partial of the CDF."""
     ua, va, scalar = _prep(u, v)
-    if np.any((ua <= 0.0) | (ua >= 1.0)):
+    if not np.all((ua > 0.0) & (ua < 1.0)):
         raise DomainError("conditioning point must lie strictly inside (0, 1)")
-    if np.any((va < 0.0) | (va > 1.0)):
+    if not np.all((va >= 0.0) & (va <= 1.0)):
         raise DomainError("conditional_cdf target must lie in [0, 1]")
     return _ret(c.cond_u_raw(ua, va), scalar)
 
@@ -720,46 +720,24 @@ def numeric_fold_depth(c: Copula) -> int:
     return 0
 
 
-def n_fold(c: Copula, n: int, max_depth: int = MAX_NUMERIC_FOLD_DEPTH) -> Copula:
+def n_fold(c: Copula, n: int) -> Copula:
     """n-step fold power of ``c`` (the lag-n copula of its chain).
 
-    Closed forms: FGM(theta) -> FGM(3 (theta/3)^n); Mardia iterates its
-    weight composition; a two-term convex combination with Pi keeps its
-    non-Pi part with weight (1 - alpha)^n.  The general path iterates
-    ``fold`` and raises ``FoldDepthError`` once the NumericFold nesting
-    exceeds ``max_depth``.
+    Iterates ``fold``, so every closed form it knows carries over (FGM stays
+    FGM, Mardia stays Mardia, convex combinations distribute), and raises
+    ``FoldDepthError`` once the NumericFold nesting exceeds
+    ``MAX_NUMERIC_FOLD_DEPTH``.
     """
     n = int(n)
     if n < 1:
         raise DomainError(f"n_fold requires n >= 1, got {n}")
-    if n == 1:
-        return c
-    if isinstance(c, Fgm):
-        return Fgm(3.0 * (c.theta / 3.0) ** n)
-    params = _mardia_params(c)
-    if params is not None:
-        a, b = params
-        acc_a, acc_b = a, b
-        for _ in range(n - 1):
-            acc_a, acc_b = acc_a * a + acc_b * b, acc_a * b + acc_b * a
-        return _canonical_mardia(acc_a, acc_b)
-    if isinstance(c, Convex) and len(c.components) == 2:
-        flags = [isinstance(comp, Independence) for comp in c.components]
-        if any(flags):
-            # perturbation toward independence: the non-Pi part survives a
-            # fold power only when every step picks it
-            i_pi = flags.index(True)
-            i_other = 1 - i_pi
-            keep = c.weights[i_other] ** n
-            powered = n_fold(c.components[i_other], n, max_depth)
-            return _merge_terms([(keep, powered), (1.0 - keep, PI)])
     acc = c
     for _ in range(n - 1):
         acc = fold(acc, c)
         depth = numeric_fold_depth(acc)
-        if depth > max_depth:
+        if depth > MAX_NUMERIC_FOLD_DEPTH:
             raise FoldDepthError(
-                f"numeric fold nesting reached depth {depth} > cap {max_depth}")
+                f"numeric fold nesting reached depth {depth} > cap {MAX_NUMERIC_FOLD_DEPTH}")
     return acc
 
 
@@ -825,11 +803,7 @@ def density_grid(c: Copula, m: int) -> DensityGrid:
 
 
 def is_quadrature_backed(c: Copula) -> bool:
-    if isinstance(c, NumericFold):
-        return True
-    if isinstance(c, Convex):
-        return any(is_quadrature_backed(comp) for comp in c.components)
-    return False
+    return numeric_fold_depth(c) > 0
 
 
 @dataclass(frozen=True)
@@ -885,30 +859,34 @@ def check_copula_axioms(c: Copula, m: int = 32) -> AxiomReport:
 # serialization
 # ---------------------------------------------------------------------------
 
+# family name -> (class, serialised fields in order); Convex and NumericFold
+# nest other specifications and are handled by to_dict/from_dict themselves
+_FAMILIES = {
+    "independence": (Independence, ()),
+    "m": (Comonotone, ()),
+    "w": (Countermonotone, ()),
+    "fgm": (Fgm, ("theta",)),
+    "frechet": (Frechet, ("theta",)),
+    "mardia": (Mardia, ("a", "b")),
+    "gaussian": (Gaussian, ("r",)),
+    "amh": (Amh, ("theta",)),
+}
+_FAMILY_NAMES = {cls: name for name, (cls, _) in _FAMILIES.items()}
+_SINGLETONS = {type(c): c for c in (PI, M, W)}
+
+
 def to_dict(c: Copula) -> dict:
-    if isinstance(c, Independence):
-        return {"family": "independence"}
-    if isinstance(c, Comonotone):
-        return {"family": "m"}
-    if isinstance(c, Countermonotone):
-        return {"family": "w"}
-    if isinstance(c, Fgm):
-        return {"family": "fgm", "theta": c.theta}
-    if isinstance(c, Frechet):
-        return {"family": "frechet", "theta": c.theta}
-    if isinstance(c, Mardia):
-        return {"family": "mardia", "a": c.a, "b": c.b}
-    if isinstance(c, Gaussian):
-        return {"family": "gaussian", "r": c.r}
-    if isinstance(c, Amh):
-        return {"family": "amh", "theta": c.theta}
     if isinstance(c, Convex):
         return {"family": "convex",
                 "weights": list(c.weights),
                 "components": [to_dict(comp) for comp in c.components]}
     if isinstance(c, NumericFold):
         return {"family": "numeric_fold", "left": to_dict(c.left), "right": to_dict(c.right)}
-    raise UnsupportedCopulaError(f"cannot serialize {type(c).__name__}")
+    name = _FAMILY_NAMES.get(type(c))
+    if name is None:
+        raise UnsupportedCopulaError(f"cannot serialize {type(c).__name__}")
+    _, fields = _FAMILIES[name]
+    return {"family": name, **{f: getattr(c, f) for f in fields}}
 
 
 def from_dict(d: dict) -> Copula:
@@ -916,29 +894,18 @@ def from_dict(d: dict) -> Copula:
         raise ConfigError(f"copula specification must be an object with a 'family': {d!r}")
     fam = d["family"]
     try:
-        if fam == "independence":
-            return PI
-        if fam == "m":
-            return M
-        if fam == "w":
-            return W
-        if fam == "fgm":
-            return Fgm(d["theta"])
-        if fam == "frechet":
-            return Frechet(d["theta"])
-        if fam == "mardia":
-            return Mardia(d["a"], d["b"])
-        if fam == "gaussian":
-            return Gaussian(d["r"])
-        if fam == "amh":
-            return Amh(d["theta"])
         if fam == "convex":
             return Convex(tuple(d["weights"]), tuple(from_dict(x) for x in d["components"]))
         if fam == "numeric_fold":
             return NumericFold(from_dict(d["left"]), from_dict(d["right"]))
+        if not isinstance(fam, str) or fam not in _FAMILIES:
+            raise ConfigError(f"unknown copula family: {fam!r}")
+        cls, fields = _FAMILIES[fam]
+        if cls in _SINGLETONS:
+            return _SINGLETONS[cls]
+        return cls(*(d[f] for f in fields))
     except KeyError as exc:
         raise ConfigError(f"copula specification for '{fam}' is missing field {exc}") from exc
-    raise ConfigError(f"unknown copula family: {fam!r}")
 
 
 def to_json(c: Copula) -> str:

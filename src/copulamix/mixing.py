@@ -120,7 +120,7 @@ class EpsDecomposition:
         e2 = np.asarray(self.eps2, dtype=float)
         if e1.ndim != 1 or e2.ndim != 1 or e1.size != e2.size or e1.size == 0:
             raise DomainError("eps1 and eps2 must be equal-length 1-d tables")
-        if np.any(e1 < 0.0) or np.any(e2 < 0.0):
+        if not (np.all(e1 >= 0.0) and np.all(e2 >= 0.0)):
             raise DomainError("decomposition entries must be nonnegative")
         object.__setattr__(self, "eps1", e1)
         object.__setattr__(self, "eps2", e2)
@@ -343,28 +343,27 @@ def lag_report(
     n: int,
     m: int = DEFAULT_RESOLUTION,
     eps_list: Sequence[float] = DEFAULT_EPS_LADDER,
-    findings: tuple = (),
-    scan_unbounded: bool = True,
 ) -> MixingReport:
-    """Assemble the per-lag numbers into a report (findings supplied by classify)."""
+    """Assemble the per-lag numbers into a report (findings are attached by classify)."""
     if n < 1:
         raise DomainError("lag must be at least 1")
     cn = n_fold(c, n)
     try:
         lo, hi = density_extrema(c, n, m)
+        psi_prime = min(lo, 1.0)  # psi_prime_lower_bound of this very grid
         unbounded = False
         # the refinement ladder is affordable only for closed-form densities;
         # quadrature-backed folds rely on the corner scan for divergence evidence
-        if scan_unbounded and hi > 5.0 and not is_quadrature_backed(cn):
+        if hi > 5.0 and not is_quadrature_backed(cn):
             unbounded, hi_fine = _grid_maxima_unbounded(c, n)
             hi = max(hi, hi_fine)
         density_min, density_max = lo, (math.inf if unbounded else hi)
     except (DensityUnavailableError, FoldDepthError):
         density_min, density_max, unbounded = 0.0, math.inf, False
-    try:
-        psi_prime = psi_prime_lower_bound(c, n, m)
-    except (DensityUnavailableError, FoldDepthError):
-        psi_prime = 0.0
+        try:
+            psi_prime = psi_prime_lower_bound(c, n, m)
+        except (DensityUnavailableError, FoldDepthError):
+            psi_prime = 0.0
 
     if density_max < math.inf and cn.is_absolutely_continuous:
         psi_star = max(density_max, 1.0)
@@ -379,7 +378,6 @@ def lag_report(
         psi_prime_lower=float(psi_prime),
         psi_star_upper=float(psi_star),
         corner_scan=scan,
-        findings=tuple(findings),
     )
 
 

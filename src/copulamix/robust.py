@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .chains import Marginal, Normal, Uniform01, sample_iid_normal, uniform_chain_matrix
+from .chains import Marginal, sample_iid_normal, uniform_chain_matrix
 from .copulas import Copula
 from .errors import DegenerateSampleError, DomainError
 from .normal import norm_ppf
@@ -36,14 +36,17 @@ class RobustMeanResult:
     h: float
     r_tilde: float
     mu_hat: float
-    ci_lo: float
-    ci_hi: float
+    half_width: float
     z: float
     mean_y_sq: float
 
     @property
-    def half_width(self) -> float:
-        return self.z * math.sqrt(self.mean_y_sq / (self.n * self.h * math.sqrt(2.0)))
+    def ci_lo(self) -> float:
+        return self.mu_hat - self.half_width
+
+    @property
+    def ci_hi(self) -> float:
+        return self.mu_hat + self.half_width
 
     def covers(self, mu: float) -> bool:
         return self.ci_lo <= mu <= self.ci_hi
@@ -68,6 +71,8 @@ def bandwidth(y: Sequence[float]) -> float:
     arr = np.asarray(y, dtype=float)
     if arr.ndim != 1 or arr.size < 1:
         raise DomainError("bandwidth needs a nonempty 1-d sample")
+    if not np.all(np.isfinite(arr)):
+        raise DomainError("bandwidth needs a finite sample")
     mean = float(arr.mean())
     if mean == 0.0:
         raise DegenerateSampleError("bandwidth undefined: sample mean is zero")
@@ -77,15 +82,9 @@ def bandwidth(y: Sequence[float]) -> float:
 
 def population_bandwidth(m: Marginal, n: int) -> float:
     """Bandwidth from the marginal's population moments instead of a sample."""
-    if isinstance(m, Normal):
-        mean, mean_sq = m.mu, m.mu * m.mu + m.sigma * m.sigma
-    elif isinstance(m, Uniform01):
-        mean, mean_sq = 0.5, 1.0 / 3.0
-    else:
-        raise DomainError(f"unknown marginal {m!r}")
-    if mean == 0.0:
+    if m.mean == 0.0:
         raise DegenerateSampleError("bandwidth undefined: population mean is zero")
-    return (mean_sq / (n * math.sqrt(2.0) * mean * mean)) ** 0.2
+    return (m.mean_sq / (n * math.sqrt(2.0) * m.mean * m.mean)) ** 0.2
 
 
 def robust_mean(y: Sequence[float], x: Sequence[float], level: float = 0.95) -> RobustMeanResult:
@@ -94,6 +93,8 @@ def robust_mean(y: Sequence[float], x: Sequence[float], level: float = 0.95) -> 
     xa = np.asarray(x, dtype=float)
     if ya.shape != xa.shape or ya.ndim != 1:
         raise DomainError("y and x must be 1-d samples of equal length")
+    if not np.all(np.isfinite(xa)):  # bandwidth checks y
+        raise DomainError("x must be a finite sample")
     if not 0.0 < level < 1.0:
         raise DomainError("confidence level must lie in (0, 1)")
     n = ya.size
@@ -102,33 +103,20 @@ def robust_mean(y: Sequence[float], x: Sequence[float], level: float = 0.95) -> 
     mu_hat = r_tilde * math.sqrt(1.0 + h * h)
     z = float(norm_ppf(1.0 - (1.0 - level) / 2.0))
     mean_y_sq = float(np.mean(ya * ya))
-    half = z * math.sqrt(mean_y_sq / (n * h * math.sqrt(2.0)))
     return RobustMeanResult(
         n=n,
         h=h,
         r_tilde=r_tilde,
         mu_hat=mu_hat,
-        ci_lo=mu_hat - half,
-        ci_hi=mu_hat + half,
+        half_width=z * math.sqrt(mean_y_sq / (n * h * math.sqrt(2.0))),
         z=z,
         mean_y_sq=mean_y_sq,
     )
 
 
-def _marginal_values(m: Marginal, uniforms: np.ndarray) -> np.ndarray:
-    if isinstance(m, Uniform01):
-        return uniforms
-    if isinstance(m, Normal):
-        return m.mu + m.sigma * norm_ppf(uniforms)
-    raise DomainError(f"unknown marginal {m!r}")
-
-
-def marginal_mean(m: Marginal) -> float:
-    if isinstance(m, Uniform01):
-        return 0.5
-    if isinstance(m, Normal):
-        return m.mu
-    raise DomainError(f"unknown marginal {m!r}")
+def coverage_rate(results: Sequence[RobustMeanResult], mu: float) -> float:
+    """Fraction of the intervals that contain mu."""
+    return sum(r.covers(mu) for r in results) / len(results)
 
 
 def replicate_robust_means(
@@ -153,7 +141,7 @@ def replicate_robust_means(
         seeds = [derive_seed(seed, r) for r in range(start, min(start + batch, reps))]
         umat = uniform_chain_matrix(c, n, seeds)
         for row, s in enumerate(seeds):
-            y = _marginal_values(m, umat[row])
+            y = m.quantile(umat[row])
             x = sample_iid_normal(n, s)
             out.append(robust_mean(y, x, level))
     return out
@@ -168,9 +156,7 @@ def coverage_experiment(
     seed: int,
 ) -> float:
     """Fraction of replications whose interval contains the true marginal mean."""
-    mu = marginal_mean(m)
-    results = replicate_robust_means(c, m, n, reps, level, seed)
-    return sum(r.covers(mu) for r in results) / len(results)
+    return coverage_rate(replicate_robust_means(c, m, n, reps, level, seed), m.mean)
 
 
 def variance_diagnostic(
@@ -195,7 +181,7 @@ def variance_diagnostic(
     for n in sizes:
         seeds = [derive_seed(seed, r) for r in range(reps)]
         umat = uniform_chain_matrix(c, n, seeds)
-        means = _marginal_values(m, umat).mean(axis=1)
+        means = m.quantile(umat).mean(axis=1)
         v = float(np.var(means, ddof=1))
         nvar.append(n * v)
         nhvar.append(n * population_bandwidth(m, n) * v)

@@ -1,13 +1,12 @@
 """Elementwise inversion of increasing functions on [0, 1].
 
-Used to invert conditional copula CDFs: safeguarded Newton when a derivative
-is available, plain bisection otherwise.  Both operate on numpy arrays and
-keep a hard bracket around every component, so Newton can never escape.
+Used to invert conditional copula CDFs that have no closed-form inverse:
+plain bisection on numpy arrays, with a hard bracket around every component.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -15,37 +14,23 @@ DEFAULT_TOL = 1e-12
 MAX_ITER = 100
 
 
-def invert_increasing(
-    f: Callable[[np.ndarray], np.ndarray],
-    target,
-    fprime: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = MAX_ITER,
-) -> np.ndarray:
+def invert_increasing(f: Callable[[np.ndarray], np.ndarray], target) -> np.ndarray:
     """Solve f(v) = target elementwise for v in [0, 1].
 
     ``f`` must be nondecreasing in each component with f(0) <= target <= f(1).
-    Newton steps falling outside the current bracket are replaced by its
-    midpoint; without ``fprime`` every step is a midpoint.
+    Components stop once |f(v) - target| <= DEFAULT_TOL; the rest stop after
+    MAX_ITER bisection steps.
     """
     w = np.asarray(target, dtype=float)
     lo = np.zeros_like(w)
     hi = np.ones_like(w)
     v = np.clip(w, 0.0, 1.0)
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         resid = f(v) - w
-        done = np.abs(resid) <= tol
+        done = np.abs(resid) <= DEFAULT_TOL
         if bool(np.all(done)):
             break
         hi = np.where(resid > 0.0, np.minimum(hi, v), hi)
         lo = np.where(resid < 0.0, np.maximum(lo, v), lo)
-        if fprime is None:
-            cand = 0.5 * (lo + hi)
-        else:
-            d = fprime(v)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                cand = v - resid / d
-            bad = ~np.isfinite(cand) | (cand <= lo) | (cand >= hi)
-            cand = np.where(bad, 0.5 * (lo + hi), cand)
-        v = np.where(done, v, cand)
+        v = np.where(done, v, 0.5 * (lo + hi))
     return v

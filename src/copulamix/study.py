@@ -16,11 +16,11 @@ from pathlib import Path
 import numpy as np
 
 from .chains import apply_marginal, chain_to_csv, sample_chain
-from .config import ExperimentConfig
-from .copulas import check_copula_axioms, perturb_m, perturb_pi, to_dict
+from .config import ExperimentConfig, Perturbation
+from .copulas import check_copula_axioms, to_dict
 from .errors import ConfigError, DensityUnavailableError, FoldDepthError
 from .mixing import classify, density_extrema, lag_report
-from .robust import marginal_mean, replicate_robust_means
+from .robust import coverage_rate, replicate_robust_means
 from .rng import derive_seed
 
 TABLE_LEVEL = 0.95
@@ -77,8 +77,6 @@ def _study_cell(args) -> tuple:
     """One (copula, size) cell of the study; top level so workers can pickle it."""
     index, name, c, marginal, n, reps, seed = args
     results = replicate_robust_means(c, marginal, n, reps, TABLE_LEVEL, seed)
-    mu = marginal_mean(marginal)
-    coverage = sum(r.covers(mu) for r in results) / len(results)
     first = results[0]
     return index, {
         "copula": name,
@@ -86,7 +84,7 @@ def _study_cell(args) -> tuple:
         "mu_hat": first.mu_hat,
         "ci_lo": first.ci_lo,
         "ci_hi": first.ci_hi,
-        "coverage": coverage,
+        "coverage": coverage_rate(results, marginal.mean),
     }
 
 
@@ -136,10 +134,10 @@ def surface_to_csv(c, path, points: int = SURFACE_POINTS) -> None:
             fh.write("%.17g,%.17g,%.17g\n" % (u, v, z))
 
 
-def _first_pi_alpha(cfg: ExperimentConfig) -> float:
+def _first_pi(cfg: ExperimentConfig) -> Perturbation:
     for p in cfg.perturbations:
         if p.kind == "pi":
-            return p.alpha
+            return p
     raise ConfigError("this figure needs a 'pi' perturbation declared in the config")
 
 
@@ -164,8 +162,8 @@ def figure_data(cfg: ExperimentConfig, figure_id: int, out_dir) -> list:
     written = []
     if figure_id in (1, 4):
         name, base = _figure_base(cfg, 0 if figure_id == 1 else 2)
-        alpha = _first_pi_alpha(cfg)
-        variants = [(name, base), (f"{name}-pi{alpha:g}", perturb_pi(base, alpha))]
+        p = _first_pi(cfg)
+        variants = [(name, base), (f"{name}-{p.suffix}", p.apply(base))]
         for label, c in variants:
             path = out / f"figure{figure_id}_{_safe_name(label)}_surface.csv"
             surface_to_csv(c, path)
@@ -173,9 +171,7 @@ def figure_data(cfg: ExperimentConfig, figure_id: int, out_dir) -> list:
     elif figure_id in (2, 3):
         name, base = _figure_base(cfg, 0 if figure_id == 2 else 2)
         variants = [(name, base)]
-        for p in cfg.perturbations:
-            shifted = perturb_pi(base, p.alpha) if p.kind == "pi" else perturb_m(base, p.alpha)
-            variants.append((f"{name}-{p.suffix}", shifted))
+        variants += [(f"{name}-{p.suffix}", p.apply(base)) for p in cfg.perturbations]
         fig_seed = derive_seed(cfg.seed, _FIGURE_SEED_SPACE + figure_id)
         for idx, (label, c) in enumerate(variants):
             seed = derive_seed(fig_seed, idx)

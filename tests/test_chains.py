@@ -8,6 +8,7 @@ from copulamix.chains import (
     ChainSample,
     Normal,
     Uniform01,
+    _transition,
     apply_marginal,
     chain_to_csv,
     sample_chain,
@@ -116,6 +117,18 @@ def test_convex_chain_mixes_component_transitions():
     assert copies == pytest.approx(0.4, abs=0.01)
     d = scipy.stats.kstest(u, "uniform").statistic
     assert d < 0.015
+
+
+def test_fgm_transition_solves_the_conditional_cdf():
+    # the closed-form root must hit C_u(v) = w, also at u = 1/2 where the
+    # quadratic degenerates to the identity
+    u = np.concatenate(([0.5, 1e-9, 1.0 - 1e-9], np.linspace(0.005, 0.995, 199)))
+    uu, ww = np.meshgrid(u, np.linspace(1e-6, 1.0 - 1e-6, 401))
+    uu, ww = uu.ravel(), ww.ravel()
+    for theta in (-1.0, -0.5, 0.0, 0.6, 1.0):
+        c = Fgm(theta)
+        v = _transition(c, uu, ww, None)
+        assert np.max(np.abs(c.cond_u_raw(uu, v) - ww)) <= 1e-12
 
 
 def test_quadrature_fold_chain_stays_uniform():

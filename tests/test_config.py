@@ -1,8 +1,10 @@
 """Tests for the JSON experiment configuration layer."""
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from copulamix import (
     ConfigError,
@@ -161,3 +163,30 @@ def test_load_reports_missing_and_invalid_files(tmp_path):
 
 def test_checked_in_study_config_matches_the_default():
     assert load_config("configs/table4.json") == default_study_config()
+
+
+NUMERIC_FIELDS = (
+    ("copulas", "fgm", "theta"),
+    ("copulas", "fgm_m", "weights", 0),
+    ("copulas", "fgm_m", "components", 0, "theta"),
+    ("copulas", "frechet", "theta"),
+    ("marginal", "mu"),
+    ("marginal", "sigma"),
+    ("sizes", 1),
+    ("perturbations", 0, "alpha"),
+    ("seed",),
+    ("replications",),
+)
+
+
+@given(st.sampled_from(NUMERIC_FIELDS), st.sampled_from((math.nan, math.inf, -math.inf)))
+@settings(max_examples=60, deadline=None)
+def test_parse_rejects_non_finite_numbers(path, bad):
+    # Python's json module reads NaN and Infinity, so a config file can hold them
+    doc = json.loads(default_study_config().to_json())
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = bad
+    with pytest.raises(ConfigError):
+        parse_config(doc)

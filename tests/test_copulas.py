@@ -1,5 +1,7 @@
 """Copula families, the fold algebra, perturbations, and serialization."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -488,6 +490,32 @@ def test_cdf_entry_point_validates_the_closed_square():
         cdf(PI, -0.1, 0.5)
     with pytest.raises(DomainError):
         cdf(PI, 0.5, 1.1)
+    for entry in (cdf, density, conditional_cdf):
+        with pytest.raises(DomainError):
+            entry(Fgm(0.6), [0.5, math.nan], 0.5)
+        with pytest.raises(DomainError):
+            entry(Fgm(0.6), 0.5, math.nan)
+
+
+NON_FINITE = st.sampled_from((math.nan, math.inf, -math.inf))
+CONSTRUCTORS = st.sampled_from((
+    Fgm,
+    Frechet,
+    Gaussian,
+    Amh,
+    lambda x: Mardia(x, 0.1),
+    lambda x: Mardia(0.1, x),
+    lambda x: Convex((x, 0.5), (Fgm(0.6), PI)),
+    lambda x: Convex((0.5, x), (Fgm(0.6), PI)),
+    lambda x: Convex((x, 1.0 - x), (Fgm(0.6), PI)),
+))
+
+
+@given(CONSTRUCTORS, NON_FINITE)
+@settings(max_examples=60, deadline=None)
+def test_constructors_reject_non_finite_parameters(make, x):
+    with pytest.raises(DomainError):
+        make(x)
 
 
 # ---------------------------------------------------------------------------
@@ -514,5 +542,7 @@ def test_bad_specifications_raise_config_errors():
         from_dict({"theta": 0.5})
     with pytest.raises(ConfigError):
         from_dict({"family": "fgm"})  # missing theta
+    with pytest.raises(ConfigError):
+        from_dict({"family": ["fgm"]})
     with pytest.raises(ConfigError):
         from_json("{not json")

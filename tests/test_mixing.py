@@ -128,6 +128,8 @@ def test_eps_decomposition_validation():
         verify_eps_decomposition(g, EpsDecomposition(np.ones(8), np.ones(8)))
     with pytest.raises(DomainError):
         EpsDecomposition(np.ones(8), -np.ones(8))
+    with pytest.raises(DomainError):
+        EpsDecomposition(np.full(8, np.nan), np.ones(8))
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +185,21 @@ def test_lag_report_survives_unavailable_densities():
     assert rep.psi_prime_lower == 0.0
     assert rep.psi_star_upper == math.inf
     assert len(rep.corner_scan) == 7
+
+
+@pytest.mark.parametrize("c, lags", [
+    *((c, (1, 2)) for c in (
+        PI, M, W, Fgm(0.6), Fgm(-1.0), Mardia(0.3, 0.2), Frechet(0.6),
+        Gaussian(0.5), Gaussian(-0.8), Amh(0.5), Amh(-1.0),
+        Convex((0.6, 0.4), (Fgm(0.6), M)),
+        Convex((0.5, 0.3, 0.2), (Frechet(0.6), Fgm(0.6), PI)),
+    )),
+    # no density at all: the floor comes from the component fallback
+    (Convex((0.5, 0.5), (NumericFold(Frechet(0.6), Gaussian(0.5)), Fgm(0.6))), (1,)),
+], ids=repr)
+def test_lag_report_floor_is_psi_prime_lower_bound(c, lags):
+    for n in lags:
+        assert lag_report(c, n, 16).psi_prime_lower == psi_prime_lower_bound(c, n, 16)
 
 
 def test_report_serializes_infinities_as_strings():

@@ -17,7 +17,6 @@ from copulamix import (
     bandwidth,
     coverage_experiment,
     derive_seed,
-    marginal_mean,
     population_bandwidth,
     replicate_robust_means,
     results_to_csv,
@@ -55,6 +54,9 @@ def test_bandwidth_rejects_bad_samples():
         bandwidth([])
     with pytest.raises(DomainError):
         bandwidth([[1.0, 2.0]])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DomainError):
+            bandwidth([1.0, bad, 2.0])
     with pytest.raises(DegenerateSampleError):
         bandwidth([0.0, 0.0, 0.0])
     with pytest.raises(DegenerateSampleError):
@@ -141,6 +143,11 @@ def test_estimator_input_validation():
         robust_mean([[1.0]], [[0.0]])
     with pytest.raises(DomainError):
         robust_mean([1.0], [0.0], level=1.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DomainError):
+            robust_mean([1.0, bad], [0.0, 0.5])
+        with pytest.raises(DomainError):
+            robust_mean([1.0, 2.0], [0.0, bad])
     with pytest.raises(DomainError):
         robust_mean([1.0], [0.0], level=0.0)
     with pytest.raises(DegenerateSampleError):
@@ -232,8 +239,8 @@ def test_variance_diagnostic_validation():
 # ---------------------------------------------------------------------------
 
 def test_marginal_means():
-    assert marginal_mean(Uniform01()) == 0.5
-    assert marginal_mean(Normal(30.0, 1.0)) == 30.0
+    assert Uniform01().mean == 0.5
+    assert Normal(30.0, 1.0).mean == 30.0
 
 
 def test_results_csv_round_trip(tmp_path):

@@ -13,7 +13,6 @@ from copulamix import (
     Uniform01,
     default_study_config,
     derive_seed,
-    marginal_mean,
     replicate_robust_means,
 )
 from copulamix.study import (
@@ -62,7 +61,7 @@ def test_run_table_cells_use_position_derived_seeds():
         Fgm(0.1), cfg.marginal, 80, cfg.replications, TABLE_LEVEL, derive_seed(cfg.seed, 3)
     )
     assert rows[3]["mu_hat"] == results[0].mu_hat
-    mu = marginal_mean(cfg.marginal)
+    mu = cfg.marginal.mean
     assert rows[3]["coverage"] == sum(r.covers(mu) for r in results) / len(results)
 
 
