@@ -47,11 +47,11 @@ def main(argv=None) -> int:
             print(f"wrote {path}")
 
     for name, _ in cfg.copulas:
-        doc, density_ok = mixing_report_set(cfg, name, n_max=3, resolution=256)
+        doc, complete = mixing_report_set(cfg, name, n_max=3, resolution=256)
         path = out / f"mixing_{name}.json"
         write_json(doc, path)
         verdicts = ", ".join(f["verdict"] for f in doc["reports"][0]["findings"])
-        note = "" if density_ok else "  (density unavailable; partial report)"
+        note = "" if complete else "  (density or corner scan unavailable; partial report)"
         print(f"wrote {path}  [{verdicts}]{note}")
 
     if not args.skip_table:

@@ -20,6 +20,9 @@ from typing import Sequence, Union
 import numpy as np
 
 from .copulas import (
+    PI,
+    M,
+    W,
     Comonotone,
     Convex,
     Copula,
@@ -113,7 +116,7 @@ def _selector_need(c: Copula) -> int:
     if isinstance(c, Convex):
         return 1 + max(_selector_need(comp) for comp in c.components)
     if isinstance(c, Mardia):
-        return 1
+        return 0 if c in (PI, M, W) else 1  # their transitions below need no branch
     return 0
 
 

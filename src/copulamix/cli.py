@@ -121,7 +121,7 @@ def mixing(name, n_max, resolution, config_path, out_dir):
         raise ConfigError("--n-max must be at least 1")
     if resolution < 8:
         raise ConfigError("--resolution must be at least 8")
-    doc, density_ok = mixing_report_set(cfg, name, n_max, resolution)
+    doc, complete = mixing_report_set(cfg, name, n_max, resolution)
     out = Path(out_dir or cfg.outputs)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"mixing_{name.replace('@', '-')}.json"
@@ -139,8 +139,9 @@ def mixing(name, n_max, resolution, config_path, out_dir):
                _fmt(rep["psi_prime_lower"]), _fmt(rep["psi_star_upper"]))
         )
     click.echo(f"report written to {path}")
-    if not density_ok:
-        click.echo("density unavailable at lag 1; report truncated to computable parts", err=True)
+    if not complete:
+        click.echo("a lag's density or corner scan is unavailable; "
+                   "report truncated to computable parts", err=True)
         sys.exit(EXIT_NUMERIC)
 
 

@@ -8,15 +8,16 @@ is the two-step transition law of a stationary Markov chain whose one-step
 law is a copula; folding is associative, and the n-fold power of the chain's
 copula gives the lag-n joint law.  ``fold`` returns a closed-form result for
 the pairs that stay inside the family algebra (independence absorbs, the
-comonotone copula is the identity, FGM and Mardia are closed) and otherwise
-wraps both factors in :class:`NumericFold`, which evaluates the integral by
-composite Gauss-Legendre quadrature.
+comonotone copula is the identity, FGM, Gaussian and Mardia are closed) and
+otherwise wraps both factors in :class:`NumericFold`, which evaluates the
+integral by composite Gauss-Legendre quadrature.
 
 Parameter conventions:
 
 * ``Fgm(theta)``        C(u,v) = uv + theta uv(1-u)(1-v), theta in [-1, 1]
 * ``Mardia(a, b)``      a M + b W + (1-a-b) Pi with a, b >= 0, a + b <= 1
 * ``Frechet(theta)``    Mardia with a = theta^2(1+theta)/2, b = theta^2(1-theta)/2
+* ``PI``, ``M``, ``W``    Mardia at (a, b) = (0, 0), (1, 0) and (0, 1)
 * ``Gaussian(r)``       normal-scores correlation r in (-1, 1)
 * ``Amh(theta)``        C(u,v) = uv / (1 - theta(1-u)(1-v)), theta in [-1, 1]
 """
@@ -81,8 +82,8 @@ class Copula:
         raise UnsupportedCopulaError(f"{type(self).__name__} has no conditional CDF")
 
     def cond_v_raw(self, u, v):
-        """d/dv C(u, v)."""
-        raise UnsupportedCopulaError(f"{type(self).__name__} has no v-partial")
+        """d/dv C(u, v); the leaf families are exchangeable, so it is d/du C(v, u)."""
+        return self.cond_u_raw(v, u)
 
     # -- structure --
 
@@ -95,93 +96,9 @@ class Copula:
         """True when the partials are only piecewise smooth in t."""
         return False
 
-    def kinks_left(self, x: float) -> tuple[float, ...]:
-        """Breakpoints of t -> d2 C(x, t), for quadrature splitting."""
+    def kinks(self, x: float) -> tuple[float, ...]:
+        """Breakpoints of t -> d2 C(x, t), and by exchangeability of t -> d1 C(t, x)."""
         return ()
-
-    def kinks_right(self, y: float) -> tuple[float, ...]:
-        """Breakpoints of t -> d1 C(t, y)."""
-        return ()
-
-
-@dataclass(frozen=True)
-class Independence(Copula):
-    """Product copula Pi(u, v) = uv."""
-
-    def cdf_raw(self, u, v):
-        return u * v
-
-    def density_raw(self, u, v):
-        return np.ones_like(u)
-
-    def cond_u_raw(self, u, v):
-        return v + 0.0 * u
-
-    def cond_v_raw(self, u, v):
-        return u + 0.0 * v
-
-
-@dataclass(frozen=True)
-class Comonotone(Copula):
-    """Upper Frechet-Hoeffding bound M(u, v) = min(u, v)."""
-
-    def cdf_raw(self, u, v):
-        return np.minimum(u, v)
-
-    def density_raw(self, u, v):
-        # all mass sits on the diagonal; the AC part is zero
-        return np.zeros_like(u)
-
-    def cond_u_raw(self, u, v):
-        return np.where(u <= v, 1.0, 0.0)
-
-    def cond_v_raw(self, u, v):
-        return np.where(v <= u, 1.0, 0.0)
-
-    @property
-    def is_absolutely_continuous(self) -> bool:
-        return False
-
-    @property
-    def has_kinks(self) -> bool:
-        return True
-
-    def kinks_left(self, x):
-        return (x,)
-
-    def kinks_right(self, y):
-        return (y,)
-
-
-@dataclass(frozen=True)
-class Countermonotone(Copula):
-    """Lower Frechet-Hoeffding bound W(u, v) = max(u + v - 1, 0)."""
-
-    def cdf_raw(self, u, v):
-        return np.maximum(u + v - 1.0, 0.0)
-
-    def density_raw(self, u, v):
-        return np.zeros_like(u)
-
-    def cond_u_raw(self, u, v):
-        return np.where(u + v >= 1.0, 1.0, 0.0)
-
-    def cond_v_raw(self, u, v):
-        return np.where(u + v >= 1.0, 1.0, 0.0)
-
-    @property
-    def is_absolutely_continuous(self) -> bool:
-        return False
-
-    @property
-    def has_kinks(self) -> bool:
-        return True
-
-    def kinks_left(self, x):
-        return (1.0 - x,)
-
-    def kinks_right(self, y):
-        return (1.0 - y,)
 
 
 @dataclass(frozen=True)
@@ -203,9 +120,6 @@ class Fgm(Copula):
 
     def cond_u_raw(self, u, v):
         return v + self.theta * (1.0 - 2.0 * u) * v * (1.0 - v)
-
-    def cond_v_raw(self, u, v):
-        return u + self.theta * (1.0 - 2.0 * v) * u * (1.0 - u)
 
 
 @dataclass(frozen=True)
@@ -237,9 +151,6 @@ class Mardia(Copula):
                 + self.a * np.where(u <= v, 1.0, 0.0)
                 + self.b * np.where(u + v >= 1.0, 1.0, 0.0))
 
-    def cond_v_raw(self, u, v):
-        return self.cond_u_raw(v, u)
-
     @property
     def is_absolutely_continuous(self) -> bool:
         return self.a == 0.0 and self.b == 0.0
@@ -248,11 +159,9 @@ class Mardia(Copula):
     def has_kinks(self) -> bool:
         return self.a > 0.0 or self.b > 0.0
 
-    def kinks_left(self, x):
-        return (x, 1.0 - x)
-
-    def kinks_right(self, y):
-        return (y, 1.0 - y)
+    def kinks(self, x):
+        # the M part bends its partials at t = x, the W part at t = 1 - x
+        return (x,) * (self.a > 0.0) + (1.0 - x,) * (self.b > 0.0)
 
 
 @dataclass(frozen=True, init=False)
@@ -272,6 +181,36 @@ class Frechet(Mardia):
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "a", theta * theta * (1.0 + theta) / 2.0)
         object.__setattr__(self, "b", theta * theta * (1.0 - theta) / 2.0)
+
+
+class _MardiaCorner(Mardia):
+    """Mardia member at the fixed weights ``_ab``; it takes and prints no arguments."""
+
+    _ab: tuple = ()
+
+    def __init__(self):
+        super().__init__(*self._ab)
+
+    def __repr__(self):
+        return f"{type(self).__name__}()"
+
+
+class Independence(_MardiaCorner):
+    """Product copula Pi(u, v) = uv: Mardia at (a, b) = (0, 0)."""
+
+    _ab = (0.0, 0.0)
+
+
+class Comonotone(_MardiaCorner):
+    """Upper Frechet-Hoeffding bound M(u, v) = min(u, v): Mardia at (1, 0)."""
+
+    _ab = (1.0, 0.0)
+
+
+class Countermonotone(_MardiaCorner):
+    """Lower Frechet-Hoeffding bound W(u, v) = max(u + v - 1, 0): Mardia at (0, 1)."""
+
+    _ab = (0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -342,9 +281,6 @@ class Gaussian(Copula):
         shape = np.broadcast_shapes(np.shape(u), np.shape(v))
         return out.reshape(shape) if shape else out
 
-    def cond_v_raw(self, u, v):
-        return self.cond_u_raw(v, u)
-
 
 @dataclass(frozen=True)
 class Amh(Copula):
@@ -374,9 +310,6 @@ class Amh(Copula):
 
     def cond_u_raw(self, u, v):
         return v * (1.0 - self.theta * (1.0 - v)) / self._den(u, v) ** 2
-
-    def cond_v_raw(self, u, v):
-        return self.cond_u_raw(v, u)
 
 
 @dataclass(frozen=True)
@@ -439,17 +372,8 @@ class Convex(Copula):
     def has_kinks(self) -> bool:
         return any(c.has_kinks for c in self.components)
 
-    def kinks_left(self, x):
-        out: tuple[float, ...] = ()
-        for c in self.components:
-            out += c.kinks_left(x)
-        return out
-
-    def kinks_right(self, y):
-        out: tuple[float, ...] = ()
-        for c in self.components:
-            out += c.kinks_right(y)
-        return out
+    def kinks(self, x):
+        return sum((c.kinks(x) for c in self.components), ())
 
 
 @dataclass(frozen=True)
@@ -472,8 +396,8 @@ class NumericFold(Copula):
 
     def cdf_raw(self, u, v):
         return _fold_quad(self.left.cond_v_raw, self.right.cond_u_raw, u, v,
-                          kinks_x=self.left.kinks_left if self.left.has_kinks else None,
-                          kinks_y=self.right.kinks_right if self.right.has_kinks else None)
+                          kinks_x=self.left.kinks if self.left.has_kinks else None,
+                          kinks_y=self.right.kinks if self.right.has_kinks else None)
 
     def density_raw(self, u, v):
         if not (self.left.is_absolutely_continuous and self.right.is_absolutely_continuous):
@@ -486,14 +410,14 @@ class NumericFold(Copula):
             raise UnsupportedCopulaError(
                 "conditional CDF of a numeric fold needs an absolutely continuous left factor")
         return _fold_quad(self.left.density_raw, self.right.cond_u_raw, u, v,
-                          kinks_y=self.right.kinks_right if self.right.has_kinks else None)
+                          kinks_y=self.right.kinks if self.right.has_kinks else None)
 
     def cond_v_raw(self, u, v):
         if not self.right.is_absolutely_continuous:
             raise UnsupportedCopulaError(
                 "v-partial of a numeric fold needs an absolutely continuous right factor")
         return _fold_quad(self.left.cond_v_raw, self.right.density_raw, u, v,
-                          kinks_x=self.left.kinks_left if self.left.has_kinks else None)
+                          kinks_x=self.left.kinks if self.left.has_kinks else None)
 
     @property
     def is_absolutely_continuous(self) -> bool:
@@ -599,16 +523,8 @@ def reflect_u(c: Copula):
     Flipping one coordinate avoids evaluating CDFs at arguments like
     1 - epsilon, which keeps corner probabilities exact for small epsilon.
     """
-    if isinstance(c, Independence):
-        return c
-    if isinstance(c, Comonotone):
-        return W
-    if isinstance(c, Countermonotone):
-        return M
     if isinstance(c, Fgm):
         return Fgm(-c.theta)
-    if isinstance(c, Frechet):
-        return Frechet(-c.theta)
     if isinstance(c, Mardia):
         return _canonical_mardia(c.b, c.a)
     if isinstance(c, Gaussian):
@@ -643,18 +559,6 @@ def reflect_v(c: Copula):
 # fold algebra
 # ---------------------------------------------------------------------------
 
-def _mardia_params(c: Copula):
-    if isinstance(c, Mardia):
-        return c.a, c.b
-    if isinstance(c, Comonotone):
-        return 1.0, 0.0
-    if isinstance(c, Countermonotone):
-        return 0.0, 1.0
-    if isinstance(c, Independence):
-        return 0.0, 0.0
-    return None
-
-
 def _canonical_mardia(a: float, b: float) -> Copula:
     if a == 0.0 and b == 0.0:
         return PI
@@ -685,9 +589,10 @@ def fold(c1: Copula, c2: Copula) -> Copula:
     """Fold product C1 * C2.
 
     Closed-form rules: Pi absorbs, M is the identity, FGM folds to
-    FGM(theta1 * theta2 / 3), the Mardia weights compose as
-    (a1 a2 + b1 b2, a1 b2 + a2 b1), and convex combinations distribute
-    termwise.  Any other pair becomes a :class:`NumericFold`.
+    FGM(theta1 * theta2 / 3), Gaussian to Gaussian(r1 * r2), the Mardia
+    weights (Pi, M and W included) compose as (a1 a2 + b1 b2, a1 b2 + a2 b1),
+    and convex combinations distribute termwise.  Any other pair becomes a
+    :class:`NumericFold`.
     """
     if isinstance(c1, Independence) or isinstance(c2, Independence):
         return PI
@@ -702,11 +607,10 @@ def fold(c1: Copula, c2: Copula) -> Copula:
         return _merge_terms(terms)
     if isinstance(c1, Fgm) and isinstance(c2, Fgm):
         return Fgm(c1.theta * c2.theta / 3.0)
-    p1 = _mardia_params(c1)
-    p2 = _mardia_params(c2)
-    if p1 is not None and p2 is not None:
-        a1, b1 = p1
-        a2, b2 = p2
+    if isinstance(c1, Gaussian) and isinstance(c2, Gaussian):
+        return Gaussian(c1.r * c2.r)
+    if isinstance(c1, Mardia) and isinstance(c2, Mardia):
+        a1, b1, a2, b2 = c1.a, c1.b, c2.a, c2.b
         return _canonical_mardia(a1 * a2 + b1 * b2, a1 * b2 + a2 * b1)
     return NumericFold(c1, c2)
 

@@ -28,14 +28,10 @@ from .copulas import (
     Amh,
     Convex,
     Copula,
-    Comonotone,
-    Countermonotone,
     DensityGrid,
     Fgm,
     Gaussian,
-    Independence,
     Mardia,
-    NumericFold,
     Rect,
     density_grid,
     is_quadrature_backed,
@@ -44,10 +40,9 @@ from .copulas import (
     reflect_u,
     reflect_v,
 )
-from .errors import DensityUnavailableError, DomainError, FoldDepthError
+from .errors import DensityUnavailableError, DomainError, FoldDepthError, UnsupportedCopulaError
 
 DEFAULT_RESOLUTION = 256
-TEST_RESOLUTION = 64
 _UNBOUNDED_RESOLUTIONS = (64, 256, 1024)
 DEFAULT_EPS_LADDER = (0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001)
 
@@ -88,6 +83,12 @@ class MixingReport:
     @property
     def verdicts(self) -> tuple:
         return tuple(f.verdict for f in self.findings)
+
+    @property
+    def complete(self) -> bool:
+        """True when both the lag-n density and the corner scan were computable."""
+        has_density = self.density_max < math.inf or self.density_unbounded_evidence
+        return has_density and bool(self.corner_scan)
 
     def to_dict(self) -> dict:
         def num(x):
@@ -233,18 +234,18 @@ def fgm_psi_bounds(theta: float, n: int) -> tuple:
     return 1.0 - spread, 1.0 + spread
 
 
-def _grid_maxima_unbounded(c: Copula, n: int) -> tuple:
-    """Evidence scan for an unbounded lag-n density.
+def _grid_maxima_unbounded(cn: Copula, m: int, hi: float) -> tuple:
+    """Evidence scan for an unbounded density of the lag-n copula ``cn``.
 
-    Returns (flag, max at the finest resolution).  The flag fires when the
-    grid maximum grows strictly across the resolution ladder, is large in
-    absolute terms, and at least doubles from the coarsest to the finest
-    level, the signature of a density diverging at a boundary point.
+    ``hi`` is the maximum of the m x m grid the caller already built; the
+    ladder reuses it where m is one of its resolutions.  Returns (flag, max at
+    the finest resolution).  The flag fires when the grid maximum grows
+    strictly across the resolution ladder, is large in absolute terms, and at
+    least doubles from the coarsest to the finest level, the signature of a
+    density diverging at a boundary point.
     """
-    maxima = []
-    for m in _UNBOUNDED_RESOLUTIONS:
-        _, hi = density_extrema(c, n, m)
-        maxima.append(hi)
+    maxima = [hi if r == m else float(density_grid(cn, r).values.max())
+              for r in _UNBOUNDED_RESOLUTIONS]
     growing = all(b > a for a, b in zip(maxima, maxima[1:]))
     flag = growing and maxima[-1] > 10.0 and maxima[-1] >= 2.0 * maxima[0]
     return flag, maxima[-1]
@@ -260,8 +261,6 @@ def _scan_diverges(scan: Sequence[tuple]) -> bool:
 
 def _certified_floor(c: Copula) -> float:
     """Closed-form lag-1 essential infimum of the AC density, 0 when unknown."""
-    if isinstance(c, Independence):
-        return 1.0
     if isinstance(c, Fgm):
         return 1.0 - abs(c.theta)
     if isinstance(c, Mardia):
@@ -273,10 +272,10 @@ def _certified_floor(c: Copula) -> float:
 
 def _certified_psi1_below_one(c: Copula) -> bool:
     """Closed-form certificate that the lag-1 psi coefficient is below 1."""
-    if isinstance(c, Independence):
-        return True
     if isinstance(c, Fgm):
         return abs(c.theta) < 1.0
+    if isinstance(c, Mardia):
+        return c.is_absolutely_continuous  # Pi
     if isinstance(c, Convex):
         return all(_certified_psi1_below_one(comp) for comp in c.components)
     return False
@@ -284,8 +283,6 @@ def _certified_psi1_below_one(c: Copula) -> bool:
 
 def _not_psi_star_certified(c: Copula) -> bool:
     """Closed-form certificate that the family is not psi-star mixing."""
-    if isinstance(c, (Comonotone, Countermonotone)):
-        return True
     if isinstance(c, Mardia):
         return c.a > 0.0 or c.b > 0.0
     if isinstance(c, Gaussian):
@@ -301,7 +298,7 @@ def _not_psi_star_certified(c: Copula) -> bool:
 def _closed_form_findings(c: Copula) -> list:
     """Family rules that need no grid work."""
     out = []
-    if isinstance(c, Independence) or (isinstance(c, Fgm) and c.theta == 0.0) \
+    if (isinstance(c, Fgm) and c.theta == 0.0) \
             or (isinstance(c, Gaussian) and c.r == 0.0) \
             or (isinstance(c, Mardia) and c.a == 0.0 and c.b == 0.0) \
             or (isinstance(c, Amh) and c.theta == 0.0):
@@ -317,9 +314,6 @@ def _closed_form_findings(c: Copula) -> list:
         return out
     if isinstance(c, Gaussian):
         out.append(Finding(MixingVerdict.NOT_PSI_STAR_MIXING, "gaussian-corner-divergence", True))
-        return out
-    if isinstance(c, (Comonotone, Countermonotone)):
-        out.append(Finding(MixingVerdict.NOT_PSI_STAR_MIXING, "singular-corner-mass", True))
         return out
     if isinstance(c, Mardia):
         if c.a + c.b < 1.0:
@@ -355,7 +349,7 @@ def lag_report(
         # the refinement ladder is affordable only for closed-form densities;
         # quadrature-backed folds rely on the corner scan for divergence evidence
         if hi > 5.0 and not is_quadrature_backed(cn):
-            unbounded, hi_fine = _grid_maxima_unbounded(c, n)
+            unbounded, hi_fine = _grid_maxima_unbounded(cn, m, hi)
             hi = max(hi, hi_fine)
         density_min, density_max = lo, (math.inf if unbounded else hi)
     except (DensityUnavailableError, FoldDepthError):
@@ -369,7 +363,10 @@ def lag_report(
         psi_star = max(density_max, 1.0)
     else:
         psi_star = math.inf
-    scan = tuple(corner_divergence_scan(c, n, eps_list))
+    try:
+        scan = tuple(corner_divergence_scan(c, n, eps_list))
+    except UnsupportedCopulaError:
+        scan = ()  # a fold with a singular factor: no corner mass to scan
     return MixingReport(
         n=n,
         density_min=float(density_min),

@@ -18,8 +18,8 @@ import numpy as np
 from .chains import apply_marginal, chain_to_csv, sample_chain
 from .config import ExperimentConfig, Perturbation
 from .copulas import check_copula_axioms, to_dict
-from .errors import ConfigError, DensityUnavailableError, FoldDepthError
-from .mixing import classify, density_extrema, lag_report
+from .errors import ConfigError
+from .mixing import classify, lag_report
 from .robust import coverage_rate, replicate_robust_means
 from .rng import derive_seed
 
@@ -47,17 +47,12 @@ def simulate_to_csv(cfg: ExperimentConfig, name: str, n: int, seed: int, out_dir
 def mixing_report_set(cfg: ExperimentConfig, name: str, n_max: int, resolution: int) -> tuple:
     """Classification plus one report per lag 1..n_max.
 
-    Returns (document, density_ok): the document is JSON-ready; density_ok is
-    False when the lag-1 density could not be evaluated at all, in which case
+    Returns (document, complete): the document is JSON-ready; complete is
+    False when some lag lacks its density or its corner scan, in which case
     the reports carry only the computable parts.
     """
     c = cfg.resolve(name)
     classified = classify(c, resolution)
-    try:
-        density_extrema(c, 1, max(8, min(resolution, 32)))
-        density_ok = True
-    except (DensityUnavailableError, FoldDepthError):
-        density_ok = False
     reports = []
     for lag in range(1, n_max + 1):
         if lag == 1:
@@ -70,7 +65,7 @@ def mixing_report_set(cfg: ExperimentConfig, name: str, n_max: int, resolution: 
         "resolution": resolution,
         "reports": [r.to_dict() for r in reports],
     }
-    return doc, density_ok
+    return doc, all(r.complete for r in reports)
 
 
 def _study_cell(args) -> tuple:

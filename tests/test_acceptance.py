@@ -66,10 +66,7 @@ def _grid(points=33):
 def _max_cdf_diff(a, b, points=33):
     xs, ys = _grid(points)
     uu, vv = np.meshgrid(xs, ys, indexing="ij")
-    za = np.array([[cdf(a, u, v) for v in ys] for u in xs])
-    zb = np.array([[cdf(b, u, v) for v in ys] for u in xs])
-    del uu, vv
-    return float(np.max(np.abs(za - zb)))
+    return float(np.max(np.abs(cdf(a, uu, vv) - cdf(b, uu, vv))))
 
 
 def test_01_closed_form_folds_match_quadrature_folds(capsys):
@@ -88,6 +85,11 @@ def test_01_closed_form_folds_match_quadrature_folds(capsys):
             NumericFold(Mardia(0.3, 0.2), Mardia(0.1, 0.4)),
             1e-6,
             "mardia-composition",
+        ),
+        *(
+            (fold(Gaussian(r1), Gaussian(r2)), NumericFold(Gaussian(r1), Gaussian(r2)), 1e-8,
+             f"gaussian-{r1}x{r2}")
+            for r1, r2 in ((0.5, 0.5), (0.8, -0.4), (0.25, 0.9))
         ),
     ]
     worst = []

@@ -8,6 +8,7 @@ from copulamix.chains import (
     ChainSample,
     Normal,
     Uniform01,
+    _selector_need,
     _transition,
     apply_marginal,
     chain_to_csv,
@@ -108,6 +109,16 @@ def test_mardia_branch_frequencies():
     flips = np.mean(u[1:] == 1.0 - u[:-1])
     assert copies == pytest.approx(0.3, abs=0.01)
     assert flips == pytest.approx(0.2, abs=0.01)
+
+
+def test_selector_draws_per_step():
+    # Pi, M and W are Mardia members but take their transitions without a branch draw
+    for c in (PI, M, W):
+        assert _selector_need(c) == 0
+    assert _selector_need(Mardia(0.0, 0.0)) == 1
+    assert _selector_need(Frechet(0.6)) == 1
+    assert _selector_need(Convex((0.5, 0.5), (Frechet(0.6), M))) == 2
+    assert _selector_need(Convex((0.5, 0.5), (Fgm(0.6), PI))) == 1
 
 
 def test_convex_chain_mixes_component_transitions():

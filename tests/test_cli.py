@@ -1,6 +1,10 @@
-"""End-to-end tests for the command-line interface."""
+"""End-to-end tests for the command-line interface and the reproduce script."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -181,6 +185,15 @@ def test_mixing_truncated_report_exits_3_but_still_writes(tmp_path):
     assert (out / "mixing_hard.json").exists()
 
 
+def test_mixing_of_the_shipped_frechet_fgm_exits_3_with_its_report(tmp_path):
+    out = tmp_path / "mix"
+    result = runner.invoke(main, ["mixing", "frechet_fgm", "--out", str(out)])
+    assert result.exit_code == 3
+    doc = json.loads((out / "mixing_frechet_fgm.json").read_text())
+    assert [r["n"] for r in doc["reports"]] == [1, 2, 3]
+    assert doc["reports"][2]["corner_scan"] == []
+
+
 def test_mixing_validation(tmp_path):
     cfg = _small_config(tmp_path)
     base = ["mixing", "fgm", "--config", str(cfg)]
@@ -284,3 +297,27 @@ def test_figure_data_third_copula_path(tmp_path):
         main, ["figure-data", "4", "--config", str(cfg), "--out", str(out)]
     )
     assert result.exit_code == 0, result.output
+
+
+# ---------------------------------------------------------------------------
+# scripts/reproduce_study.py
+# ---------------------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_reproduce_study_without_the_table_completes_on_the_shipped_config(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "reproduce_study.py"), "--skip-table",
+         "--config", str(ROOT / "configs" / "table4.json"), "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for name in ("fgm", "fgm_m", "frechet", "frechet_fgm"):
+        assert json.loads((tmp_path / f"mixing_{name}.json").read_text())["copula"] == name
+    partial = [line for line in proc.stdout.splitlines() if "partial report" in line]
+    assert len(partial) == 1 and "mixing_frechet_fgm.json" in partial[0]
+    assert len(list(tmp_path.glob("figure*.csv"))) == 10
+    assert not (tmp_path / "table4.csv").exists()

@@ -133,6 +133,49 @@ def test_singular_families_report_zero_ac_density():
     assert density(Mardia(0.3, 0.2), 0.9, 0.1) == pytest.approx(0.5)
 
 
+def test_pi_m_w_are_the_mardia_corners_bit_for_bit():
+    u, v = np.meshgrid(GRID, GRID, indexing="ij")
+    step = lambda mask: np.where(mask, 1.0, 0.0)  # noqa: E731
+    cases = (
+        # (copula, (a, b), cdf, density, d/du, d/dv)
+        (PI, (0.0, 0.0), u * v, np.ones_like(u), v, u),
+        (M, (1.0, 0.0), np.minimum(u, v), np.zeros_like(u), step(u <= v), step(v <= u)),
+        (W, (0.0, 1.0), np.maximum(u + v - 1.0, 0.0), np.zeros_like(u),
+         step(u + v >= 1.0), step(u + v >= 1.0)),
+    )
+    for c, ab, want_cdf, want_density, want_du, want_dv in cases:
+        assert isinstance(c, Mardia) and (c.a, c.b) == ab
+        assert np.array_equal(c.cdf_raw(u, v), want_cdf)
+        assert np.array_equal(c.density_raw(u, v), want_density)
+        assert np.array_equal(c.cond_u_raw(u, v), want_du)
+        assert np.array_equal(c.cond_v_raw(u, v), want_dv)
+    assert repr(M) == "Comonotone()"
+    assert PI.is_absolutely_continuous and not PI.has_kinks
+    assert not M.is_absolutely_continuous and not W.is_absolutely_continuous
+
+
+LEAVES = tuple(c for c in ZOO if not isinstance(c, Convex))
+
+
+@pytest.mark.parametrize("c", LEAVES, ids=lambda c: repr(c)[:40])
+def test_v_partial_is_the_swapped_u_partial(c):
+    # every leaf family is exchangeable: d/dv C(u, v) = d/du C(v, u)
+    pts = np.linspace(0.05, 0.95, 7)
+    u, v = np.meshgrid(pts, pts, indexing="ij")
+    assert np.array_equal(c.cond_v_raw(u, v), c.cond_u_raw(v, u))
+
+
+def test_kinks_follow_the_singular_parts():
+    x = 0.3
+    assert M.kinks(x) == (x,)
+    assert W.kinks(x) == (1.0 - x,)
+    assert PI.kinks(x) == ()
+    assert Mardia(0.3, 0.0).kinks(x) == (x,)
+    assert Mardia(0.0, 0.3).kinks(x) == (1.0 - x,)
+    assert Mardia(0.3, 0.2).kinks(x) == (x, 1.0 - x)
+    assert Convex((0.5, 0.5), (M, Fgm(0.6))).kinks(x) == (x,)
+
+
 # ---------------------------------------------------------------------------
 # axioms
 # ---------------------------------------------------------------------------
@@ -227,6 +270,13 @@ def test_frechet_parameter_multiplies_under_folding():
 def test_w_against_mardia_composes_too():
     out = fold(W, Mardia(0.3, 0.2))
     assert out == Mardia(0.2, 0.3)
+
+
+def test_gaussian_correlations_multiply_under_folding():
+    assert fold(Gaussian(0.5), Gaussian(0.5)) == Gaussian(0.25)
+    assert fold(Gaussian(0.8), Gaussian(-0.4)) == Gaussian(0.8 * -0.4)
+    assert n_fold(Gaussian(0.5), 3) == Gaussian(0.125)
+    assert not is_quadrature_backed(n_fold(Gaussian(-0.8), 5))
 
 
 def test_convex_combinations_distribute():
@@ -528,6 +578,16 @@ def test_dict_round_trip(c):
     back = from_dict(to_dict(c))
     assert to_dict(back) == to_dict(c)
     assert np.allclose(_grid_cdf(back), _grid_cdf(c), atol=1e-15)
+
+
+def test_bounds_and_independence_deserialize_to_the_singletons():
+    assert to_dict(M) == {"family": "m"}
+    assert to_dict(W) == {"family": "w"}
+    assert to_dict(PI) == {"family": "independence"}
+    for c in (PI, M, W):
+        assert from_dict(to_dict(c)) is c
+    # a hand-built Mardia at a corner keeps its own family name
+    assert to_dict(Mardia(1.0, 0.0)) == {"family": "mardia", "a": 1.0, "b": 0.0}
 
 
 def test_json_round_trip():

@@ -21,6 +21,7 @@ from copulamix.copulas import (
     density_grid,
     perturb_pi,
 )
+from copulamix import mixing
 from copulamix.errors import DomainError
 from copulamix.mixing import (
     EpsDecomposition,
@@ -185,6 +186,34 @@ def test_lag_report_survives_unavailable_densities():
     assert rep.psi_prime_lower == 0.0
     assert rep.psi_star_upper == math.inf
     assert len(rep.corner_scan) == 7
+    assert not rep.complete
+    # the lag-3 fold holds a factor with a singular right side, so its corner
+    # mass has no quadrature; the report keeps the floor and leaves the scan empty
+    frechet_fgm = Convex((0.6, 0.4), (Frechet(0.6), Fgm(0.6)))
+    rep = lag_report(frechet_fgm, 3, 16)
+    assert rep.corner_scan == ()
+    assert rep.psi_prime_lower > 0.0
+    assert not rep.complete
+    assert lag_report(frechet_fgm, 1, 16).complete
+    assert lag_report(Gaussian(0.5), 1, 64).complete  # unbounded, yet computed
+
+
+@pytest.mark.parametrize("m, built", [
+    (256, [256, 64, 1024]),
+    (64, [64, 256, 1024]),
+    (32, [32, 64, 256, 1024]),
+])
+def test_unbounded_ladder_reuses_the_lag_grid(monkeypatch, m, built):
+    sizes = []
+
+    def counting(c, res):
+        sizes.append(res)
+        return density_grid(c, res)
+
+    monkeypatch.setattr(mixing, "density_grid", counting)
+    rep = lag_report(Gaussian(0.5), 1, m, eps_list=(0.1,))
+    assert sizes == built
+    assert rep.density_unbounded_evidence
 
 
 @pytest.mark.parametrize("c, lags", [

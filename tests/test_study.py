@@ -104,6 +104,16 @@ def test_mixing_report_set_shares_findings_across_lags():
     assert uppers[0] > uppers[1] > uppers[2]
 
 
+def test_mixing_report_set_is_incomplete_when_a_lag_lacks_its_density():
+    cfg = default_study_config()
+    doc, complete = mixing_report_set(cfg, "frechet_fgm", 1, 16)
+    assert complete
+    # the lag-2 fold has factors with singular parts and no density
+    doc, complete = mixing_report_set(cfg, "frechet_fgm", 2, 16)
+    assert not complete
+    assert doc["reports"][1]["density_max"] == "inf"
+
+
 def test_surface_csv_corners(tmp_path):
     path = tmp_path / "s.csv"
     surface_to_csv(Fgm(0.6), path, points=3)
