@@ -18,6 +18,7 @@ import time
 from pathlib import Path
 
 from copulamix.config import load_config
+from copulamix.mixing import DEFAULT_N_MAX, DEFAULT_RESOLUTION
 from copulamix.study import (
     figure_data,
     mixing_report_set,
@@ -47,7 +48,7 @@ def main(argv=None) -> int:
             print(f"wrote {path}")
 
     for name, _ in cfg.copulas:
-        doc, complete = mixing_report_set(cfg, name, n_max=3, resolution=256)
+        doc, complete = mixing_report_set(cfg, name, DEFAULT_N_MAX, DEFAULT_RESOLUTION)
         path = out / f"mixing_{name}.json"
         write_json(doc, path)
         verdicts = ", ".join(f["verdict"] for f in doc["reports"][0]["findings"])

@@ -19,6 +19,7 @@ import click
 from .config import ExperimentConfig, default_study_config, load_config
 from .copulas import Copula, fold as fold_op, from_dict, n_fold, to_dict
 from .errors import ConfigError, CopulamixError
+from .mixing import DEFAULT_N_MAX, DEFAULT_RESOLUTION
 from .study import (
     axiom_check,
     figure_data,
@@ -108,8 +109,9 @@ def simulate(name, length, config_path, seed, out_dir):
 
 @main.command()
 @click.argument("name")
-@click.option("--n-max", type=int, default=3, show_default=True, help="Largest lag to report.")
-@click.option("--resolution", type=int, default=256, show_default=True,
+@click.option("--n-max", type=int, default=DEFAULT_N_MAX, show_default=True,
+              help="Largest lag to report.")
+@click.option("--resolution", type=int, default=DEFAULT_RESOLUTION, show_default=True,
               help="Grid resolution for density bounds.")
 @config_option
 @out_option

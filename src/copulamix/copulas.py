@@ -624,6 +624,17 @@ def numeric_fold_depth(c: Copula) -> int:
     return 0
 
 
+def check_lag(n) -> int:
+    """``n`` as an int lag, or ``DomainError`` unless it is a whole number >= 1."""
+    try:
+        lag = int(n)
+    except (TypeError, ValueError, OverflowError):  # NaN, +-inf, non-numbers
+        lag = 0
+    if lag < 1 or lag != n:
+        raise DomainError(f"a lag must be a whole number >= 1, got {n!r}")
+    return lag
+
+
 def n_fold(c: Copula, n: int) -> Copula:
     """n-step fold power of ``c`` (the lag-n copula of its chain).
 
@@ -632,11 +643,8 @@ def n_fold(c: Copula, n: int) -> Copula:
     ``FoldDepthError`` once the NumericFold nesting exceeds
     ``MAX_NUMERIC_FOLD_DEPTH``.
     """
-    n = int(n)
-    if n < 1:
-        raise DomainError(f"n_fold requires n >= 1, got {n}")
     acc = c
-    for _ in range(n - 1):
+    for _ in range(check_lag(n) - 1):
         acc = fold(acc, c)
         depth = numeric_fold_depth(acc)
         if depth > MAX_NUMERIC_FOLD_DEPTH:

@@ -20,7 +20,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .copulas import (
     Gaussian,
     Mardia,
     Rect,
+    check_lag,
     density_grid,
     is_quadrature_backed,
     n_fold,
@@ -43,6 +44,7 @@ from .copulas import (
 from .errors import DensityUnavailableError, DomainError, FoldDepthError, UnsupportedCopulaError
 
 DEFAULT_RESOLUTION = 256
+DEFAULT_N_MAX = 3
 _UNBOUNDED_RESOLUTIONS = (64, 256, 1024)
 DEFAULT_EPS_LADDER = (0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001)
 
@@ -146,25 +148,32 @@ def psi_prime_lower_bound(c: Copula, n: int, m: int = DEFAULT_RESOLUTION) -> flo
     The essential infimum of the lag-n AC density bounds the event-ratio
     infimum from below; the grid minimum stands in for it.  When the lag-n
     density cannot be evaluated directly (a fold with a singular factor, or
-    fold nesting past the cap), a convex combination is bounded through one
-    surviving product term: the n-fold of component j alone carries weight
-    w_j^n inside the expanded mixture, so w_j^n times that component's own
-    floor is still a valid lower bound.
+    fold nesting past the cap), a convex combination is bounded through its
+    components' own floors.
     """
     try:
         lo, _ = density_extrema(c, n, m)
-        return min(float(lo), 1.0)
     except (DensityUnavailableError, FoldDepthError):
-        if isinstance(c, Convex):
-            best = 0.0
-            for w, comp in zip(c.weights, c.components):
-                try:
-                    sub = psi_prime_lower_bound(comp, n, m)
-                except (DensityUnavailableError, FoldDepthError):
-                    continue
-                best = max(best, (w ** n) * sub)
-            return min(best, 1.0)
-        raise
+        if not isinstance(c, Convex):
+            raise
+        return _component_floor(c, n, m)
+    return min(float(lo), 1.0)
+
+
+def _component_floor(c: Convex, n: int, m: int) -> float:
+    """psi-prime floor of a mixture whose lag-n density is unavailable.
+
+    The n-fold of component j alone carries weight w_j^n inside the expanded
+    mixture, so w_j^n times that component's own floor is still a valid lower
+    bound; the best such term is returned, 0 when no component has a floor.
+    """
+    best = 0.0
+    for w, comp in zip(c.weights, c.components):
+        try:
+            best = max(best, (w ** n) * psi_prime_lower_bound(comp, n, m))
+        except (DensityUnavailableError, FoldDepthError):
+            continue
+    return min(best, 1.0)
 
 
 def verify_eps_decomposition(d: DensityGrid, e: EpsDecomposition) -> tuple:
@@ -192,9 +201,7 @@ def _corner_probability(c: Copula, eps: float, flip_u: bool, flip_v: bool) -> fl
     value is a single CDF evaluation at (eps, eps) with no cancellation and
     no rounding of 1 - eps.  Otherwise falls back to inclusion-exclusion.
     """
-    cc = c
-    if flip_u:
-        cc = reflect_u(cc) if cc is not None else None
+    cc = reflect_u(c) if flip_u else c
     if flip_v and cc is not None:
         cc = reflect_v(cc)
     if cc is not None:
@@ -228,9 +235,7 @@ def fgm_psi_bounds(theta: float, n: int) -> tuple:
     """Closed two-sided envelope for the lag-n FGM density and event ratios."""
     if not -1.0 <= theta <= 1.0:
         raise DomainError("FGM theta must lie in [-1, 1]")
-    if n < 1:
-        raise DomainError("lag must be at least 1")
-    spread = 3.0 * (abs(theta) / 3.0) ** n
+    spread = 3.0 * (abs(theta) / 3.0) ** check_lag(n)
     return 1.0 - spread, 1.0 + spread
 
 
@@ -259,76 +264,53 @@ def _scan_diverges(scan: Sequence[tuple]) -> bool:
     return ratios[-1] >= 10.0 * max(ratios[0], 1.0) and ratios[-1] > 50.0
 
 
-def _certified_floor(c: Copula) -> float:
-    """Closed-form lag-1 essential infimum of the AC density, 0 when unknown."""
+def _certificates(c: Copula) -> tuple:
+    """Closed-form (lag-1 AC density floor, psi_1 < 1, not psi-star mixing).
+
+    Each part is the safe value (0, False, False) where no closed form decides it.
+    """
     if isinstance(c, Fgm):
-        return 1.0 - abs(c.theta)
+        return 1.0 - abs(c.theta), abs(c.theta) < 1.0, False
     if isinstance(c, Mardia):
-        return 1.0 - c.a - c.b
-    if isinstance(c, Convex):
-        return sum(w * _certified_floor(comp) for w, comp in zip(c.weights, c.components))
-    return 0.0
-
-
-def _certified_psi1_below_one(c: Copula) -> bool:
-    """Closed-form certificate that the lag-1 psi coefficient is below 1."""
-    if isinstance(c, Fgm):
-        return abs(c.theta) < 1.0
-    if isinstance(c, Mardia):
-        return c.is_absolutely_continuous  # Pi
-    if isinstance(c, Convex):
-        return all(_certified_psi1_below_one(comp) for comp in c.components)
-    return False
-
-
-def _not_psi_star_certified(c: Copula) -> bool:
-    """Closed-form certificate that the family is not psi-star mixing."""
-    if isinstance(c, Mardia):
-        return c.a > 0.0 or c.b > 0.0
+        # the floor is the Pi weight, exactly 0 when a + b == 1 (1 - a - b can
+        # leave a rounding residue there); only Pi itself has psi_1 < 1
+        return 1.0 - (c.a + c.b), c.is_absolutely_continuous, c.a > 0.0 or c.b > 0.0
     if isinstance(c, Gaussian):
-        return c.r != 0.0
+        return 0.0, False, c.r != 0.0
     if isinstance(c, Convex):
-        return any(
-            w > 0.0 and _not_psi_star_certified(comp)
-            for w, comp in zip(c.weights, c.components)
-        )
-    return False
+        parts = [(w, *_certificates(comp)) for w, comp in zip(c.weights, c.components)]
+        return (sum(w * floor for w, floor, _, _ in parts),
+                all(small for _, _, small, _ in parts),
+                any(w > 0.0 and diverges for w, _, _, diverges in parts))
+    return 0.0, False, False
 
 
 def _closed_form_findings(c: Copula) -> list:
     """Family rules that need no grid work."""
-    out = []
     if (isinstance(c, Fgm) and c.theta == 0.0) \
             or (isinstance(c, Gaussian) and c.r == 0.0) \
             or (isinstance(c, Mardia) and c.a == 0.0 and c.b == 0.0) \
             or (isinstance(c, Amh) and c.theta == 0.0):
-        out.append(Finding(MixingVerdict.PSI_MIXING, "independence-product", True))
-        return out
+        return [Finding(MixingVerdict.PSI_MIXING, "independence-product", True)]
     if isinstance(c, Fgm):
-        out.append(Finding(MixingVerdict.PSI_MIXING, "fgm-envelope", True))
-        return out
+        return [Finding(MixingVerdict.PSI_MIXING, "fgm-envelope", True)]
     # the AMH density's sup over the open square is max(1-theta, 1/(1-theta)),
     # its corner limits at (0,1) and (0,0): finite for every theta != 1
     if isinstance(c, Amh) and c.theta != 1.0:
-        out.append(Finding(MixingVerdict.PSI_STAR_MIXING, "amh-bounded-density", True))
-        return out
+        return [Finding(MixingVerdict.PSI_STAR_MIXING, "amh-bounded-density", True)]
     if isinstance(c, Gaussian):
-        out.append(Finding(MixingVerdict.NOT_PSI_STAR_MIXING, "gaussian-corner-divergence", True))
-        return out
-    if isinstance(c, Mardia):
-        if c.a + c.b < 1.0:
-            out.append(Finding(MixingVerdict.PSI_PRIME_MIXING, "mixture-density-floor", True))
-        out.append(Finding(MixingVerdict.NOT_PSI_STAR_MIXING, "singular-corner-mass", True))
-        return out
-    if isinstance(c, Convex):
-        if _certified_psi1_below_one(c):
-            out.append(Finding(MixingVerdict.PSI_MIXING, "convex-psi-small", True))
-        else:
-            if _certified_floor(c) > 0.0:
-                out.append(Finding(MixingVerdict.PSI_PRIME_MIXING, "mixture-density-floor", True))
-            if _not_psi_star_certified(c):
-                out.append(Finding(MixingVerdict.NOT_PSI_STAR_MIXING, "convex-propagation", True))
-        return out
+        return [Finding(MixingVerdict.NOT_PSI_STAR_MIXING, "gaussian-corner-divergence", True)]
+    if not isinstance(c, (Mardia, Convex)):
+        return []
+    floor, psi1_small, not_psi_star = _certificates(c)
+    if psi1_small:  # every component is Pi or an FGM with |theta| < 1
+        return [Finding(MixingVerdict.PSI_MIXING, "convex-psi-small", True)]
+    out = []
+    if floor > 0.0:
+        out.append(Finding(MixingVerdict.PSI_PRIME_MIXING, "mixture-density-floor", True))
+    if not_psi_star:
+        rule = "convex-propagation" if isinstance(c, Convex) else "singular-corner-mass"
+        out.append(Finding(MixingVerdict.NOT_PSI_STAR_MIXING, rule, True))
     return out
 
 
@@ -339,8 +321,6 @@ def lag_report(
     eps_list: Sequence[float] = DEFAULT_EPS_LADDER,
 ) -> MixingReport:
     """Assemble the per-lag numbers into a report (findings are attached by classify)."""
-    if n < 1:
-        raise DomainError("lag must be at least 1")
     cn = n_fold(c, n)
     try:
         lo, hi = density_extrema(c, n, m)
@@ -352,23 +332,17 @@ def lag_report(
             unbounded, hi_fine = _grid_maxima_unbounded(cn, m, hi)
             hi = max(hi, hi_fine)
         density_min, density_max = lo, (math.inf if unbounded else hi)
-    except (DensityUnavailableError, FoldDepthError):
+    except DensityUnavailableError:
         density_min, density_max, unbounded = 0.0, math.inf, False
-        try:
-            psi_prime = psi_prime_lower_bound(c, n, m)
-        except (DensityUnavailableError, FoldDepthError):
-            psi_prime = 0.0
+        psi_prime = _component_floor(c, n, m) if isinstance(c, Convex) else 0.0
 
-    if density_max < math.inf and cn.is_absolutely_continuous:
-        psi_star = max(density_max, 1.0)
-    else:
-        psi_star = math.inf
+    psi_star = max(density_max, 1.0) if cn.is_absolutely_continuous else math.inf
     try:
         scan = tuple(corner_divergence_scan(c, n, eps_list))
     except UnsupportedCopulaError:
         scan = ()  # a fold with a singular factor: no corner mass to scan
     return MixingReport(
-        n=n,
+        n=int(n),
         density_min=float(density_min),
         density_max=float(density_max),
         density_unbounded_evidence=bool(unbounded),
@@ -378,7 +352,32 @@ def lag_report(
     )
 
 
-def classify(c: Copula, m: int = DEFAULT_RESOLUTION, n_max: int = 3) -> MixingReport:
+def _findings(c: Copula, first: MixingReport, floors: Iterable[float]) -> tuple:
+    """Closed-form findings, else grid evidence from the lag-1 report ``first``.
+
+    ``floors`` yields the psi-prime floors at lags 1, 2, ...; it is read only
+    when no family rule applies, and only up to the first positive floor.
+    """
+    findings = _closed_form_findings(c)
+    if findings:
+        return tuple(findings)
+    try:
+        floor_lag = next((lag for lag, lo in enumerate(floors, 1) if lo > 0.0), None)
+    except (DensityUnavailableError, FoldDepthError):
+        floor_lag = None
+    if floor_lag is not None:
+        rule = f"density-floor-grid@n={floor_lag}"
+        findings.append(Finding(MixingVerdict.PSI_PRIME_MIXING, rule, False))
+    if first.density_unbounded_evidence or _scan_diverges(first.corner_scan):
+        findings.append(Finding(MixingVerdict.NOT_PSI_STAR_MIXING, "corner-divergence-scan", False))
+    elif first.psi_star_upper < math.inf:
+        findings.append(Finding(MixingVerdict.PSI_STAR_MIXING, "bounded-density-grid", False))
+    if not findings:
+        findings.append(Finding(MixingVerdict.UNKNOWN, "no-rule-applies", False))
+    return tuple(findings)
+
+
+def classify(c: Copula, m: int = DEFAULT_RESOLUTION, n_max: int = DEFAULT_N_MAX) -> MixingReport:
     """Apply the family rules, then grid evidence; report the lag-1 numbers.
 
     Closed-form rules run first and their verdicts are certified.  When none
@@ -389,27 +388,16 @@ def classify(c: Copula, m: int = DEFAULT_RESOLUTION, n_max: int = 3) -> MixingRe
     NotPsiStarMixing.  Grid findings are marked not certified.  PsiMixing and
     NotPsiStarMixing are never reported together.
     """
-    findings = _closed_form_findings(c)
     report = lag_report(c, 1, m)
-    if not findings:
-        try:
-            floor_lag = next(
-                lag for lag in range(1, n_max + 1)
-                if (report.psi_prime_lower if lag == 1
-                    else psi_prime_lower_bound(c, lag, m)) > 0.0
-            )
-        except (StopIteration, DensityUnavailableError, FoldDepthError):
-            floor_lag = None
-        if floor_lag is not None:
-            findings.append(
-                Finding(MixingVerdict.PSI_PRIME_MIXING, f"density-floor-grid@n={floor_lag}", False)
-            )
-        if report.density_unbounded_evidence or _scan_diverges(report.corner_scan):
-            findings.append(
-                Finding(MixingVerdict.NOT_PSI_STAR_MIXING, "corner-divergence-scan", False)
-            )
-        elif report.psi_star_upper < math.inf:
-            findings.append(Finding(MixingVerdict.PSI_STAR_MIXING, "bounded-density-grid", False))
-        if not findings:
-            findings.append(Finding(MixingVerdict.UNKNOWN, "no-rule-applies", False))
-    return replace(report, findings=tuple(findings))
+    floors = (report.psi_prime_lower if lag == 1 else psi_prime_lower_bound(c, lag, m)
+              for lag in range(1, n_max + 1))
+    return replace(report, findings=_findings(c, report, floors))
+
+
+def lag_reports(c: Copula, n_max: int = DEFAULT_N_MAX, m: int = DEFAULT_RESOLUTION) -> tuple:
+    """One report per lag 1..n_max, each built once, all carrying classify's
+    findings; the grid floor search reads these reports' floors (lags 1..n_max).
+    """
+    reports = [lag_report(c, lag, m) for lag in range(1, check_lag(n_max) + 1)]
+    findings = _findings(c, reports[0], (r.psi_prime_lower for r in reports))
+    return tuple(replace(r, findings=findings) for r in reports)

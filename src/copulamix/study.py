@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +18,7 @@ from .chains import apply_marginal, chain_to_csv, sample_chain
 from .config import ExperimentConfig, Perturbation
 from .copulas import check_copula_axioms, to_dict
 from .errors import ConfigError
-from .mixing import classify, lag_report
+from .mixing import lag_reports
 from .robust import coverage_rate, replicate_robust_means
 from .rng import derive_seed
 
@@ -45,20 +44,14 @@ def simulate_to_csv(cfg: ExperimentConfig, name: str, n: int, seed: int, out_dir
 
 
 def mixing_report_set(cfg: ExperimentConfig, name: str, n_max: int, resolution: int) -> tuple:
-    """Classification plus one report per lag 1..n_max.
+    """One report per lag 1..n_max, each carrying the classification.
 
     Returns (document, complete): the document is JSON-ready; complete is
     False when some lag lacks its density or its corner scan, in which case
     the reports carry only the computable parts.
     """
     c = cfg.resolve(name)
-    classified = classify(c, resolution)
-    reports = []
-    for lag in range(1, n_max + 1):
-        if lag == 1:
-            reports.append(classified)
-        else:
-            reports.append(replace(lag_report(c, lag, resolution), findings=classified.findings))
+    reports = lag_reports(c, n_max, resolution)
     doc = {
         "copula": name,
         "spec": to_dict(c),

@@ -19,6 +19,7 @@ from copulamix.copulas import (
     Mardia,
     NumericFold,
     density_grid,
+    n_fold,
     perturb_pi,
 )
 from copulamix import mixing
@@ -31,11 +32,13 @@ from copulamix.mixing import (
     density_extrema,
     fgm_psi_bounds,
     lag_report,
+    lag_reports,
     psi_prime_lower_bound,
     verify_eps_decomposition,
 )
 
 V = MixingVerdict
+FRECHET_FGM = Convex((0.6, 0.4), (Frechet(0.6), Fgm(0.6)))
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +70,28 @@ def test_fgm_bounds_converge_at_the_stated_rate():
     lo2, hi2 = fgm_psi_bounds(0.6, 5)
     assert (1.0 - lo2) / (1.0 - lo1) == pytest.approx(0.2, abs=1e-12)
     assert (hi2 - 1.0) / (hi1 - 1.0) == pytest.approx(0.2, abs=1e-12)
+
+
+@pytest.mark.parametrize("lag", [0, -1, 2.5, math.nan, math.inf, -math.inf])
+def test_every_lag_entry_point_rejects_a_lag_that_is_not_a_whole_number_from_one(lag):
+    entry_points = (
+        lambda n: n_fold(Fgm(0.5), n),
+        lambda n: fgm_psi_bounds(0.5, n),
+        lambda n: density_extrema(Fgm(0.5), n, 16),
+        lambda n: psi_prime_lower_bound(FRECHET_FGM, n, 16),
+        lambda n: corner_divergence_scan(Fgm(0.5), n, (0.1,)),
+        lambda n: lag_report(Fgm(0.5), n, 16),
+        lambda n: lag_reports(Fgm(0.5), n, 16),
+    )
+    for call in entry_points:
+        with pytest.raises(DomainError):
+            call(lag)
+
+
+def test_whole_float_lags_name_the_same_lag():
+    assert fgm_psi_bounds(0.5, 2.0) == fgm_psi_bounds(0.5, 2)
+    assert lag_report(Fgm(0.5), 2.0, 16) == lag_report(Fgm(0.5), 2, 16)
+    assert lag_report(Fgm(0.5), 2.0, 16).n == 2
 
 
 def test_density_extrema_validates_resolution():
@@ -216,6 +241,21 @@ def test_unbounded_ladder_reuses_the_lag_grid(monkeypatch, m, built):
     assert rep.density_unbounded_evidence
 
 
+def test_an_unavailable_lag_density_is_tried_once(monkeypatch):
+    # the lag-2 Convex holds a NumericFold term with no density; the floor then
+    # comes straight from the components' own lag-2 grids
+    built = []
+
+    def counting(c, res):
+        built.append(type(c).__name__)
+        return density_grid(c, res)
+
+    monkeypatch.setattr(mixing, "density_grid", counting)
+    rep = lag_report(FRECHET_FGM, 2, 16)
+    assert built == ["Convex", "Mardia", "Fgm"]
+    assert rep.psi_prime_lower == psi_prime_lower_bound(FRECHET_FGM, 2, 16) > 0.0
+
+
 @pytest.mark.parametrize("c, lags", [
     *((c, (1, 2)) for c in (
         PI, M, W, Fgm(0.6), Fgm(-1.0), Mardia(0.3, 0.2), Frechet(0.6),
@@ -344,3 +384,42 @@ def test_classifier_invariants(c):
     if math.isfinite(report.psi_star_upper):
         assert report.psi_star_upper >= 1.0
     assert all(ratio >= 0.0 for _, ratio in report.corner_scan)
+
+
+@pytest.mark.parametrize("c, expected", [
+    (PI, [(V.PSI_MIXING, "independence-product", True)]),
+    (M, [(V.NOT_PSI_STAR_MIXING, "singular-corner-mass", True)]),
+    (W, [(V.NOT_PSI_STAR_MIXING, "singular-corner-mass", True)]),
+    (Mardia(0.3, 0.2), [(V.PSI_PRIME_MIXING, "mixture-density-floor", True),
+                        (V.NOT_PSI_STAR_MIXING, "singular-corner-mass", True)]),
+    (Frechet(1.0), [(V.NOT_PSI_STAR_MIXING, "singular-corner-mass", True)]),
+    (Frechet(-1.0), [(V.NOT_PSI_STAR_MIXING, "singular-corner-mass", True)]),
+    (Fgm(0.0), [(V.PSI_MIXING, "independence-product", True)]),
+    (Gaussian(0.0), [(V.PSI_MIXING, "independence-product", True)]),
+    (Amh(0.0), [(V.PSI_MIXING, "independence-product", True)]),
+    (Amh(1.0), [(V.PSI_PRIME_MIXING, "density-floor-grid@n=1", False),
+                (V.NOT_PSI_STAR_MIXING, "corner-divergence-scan", False)]),
+    (Amh(-1.0), [(V.PSI_STAR_MIXING, "amh-bounded-density", True)]),
+    (Convex((0.6, 0.4), (Fgm(0.6), M)), [(V.PSI_PRIME_MIXING, "mixture-density-floor", True),
+                                         (V.NOT_PSI_STAR_MIXING, "convex-propagation", True)]),
+    (FRECHET_FGM, [(V.PSI_PRIME_MIXING, "mixture-density-floor", True),
+                   (V.NOT_PSI_STAR_MIXING, "convex-propagation", True)]),
+    (Convex((0.5, 0.5), (M, PI)), [(V.PSI_PRIME_MIXING, "mixture-density-floor", True),
+                                   (V.NOT_PSI_STAR_MIXING, "convex-propagation", True)]),
+    (Convex((0.5, 0.5), (Fgm(0.6), PI)), [(V.PSI_MIXING, "convex-psi-small", True)]),
+    (Convex((0.6, 0.4), (Fgm(0.6), W)), [(V.PSI_PRIME_MIXING, "mixture-density-floor", True),
+                                         (V.NOT_PSI_STAR_MIXING, "convex-propagation", True)]),
+    (Convex((0.5, 0.5), (Gaussian(0.5), PI)), [(V.PSI_PRIME_MIXING, "mixture-density-floor", True),
+                                               (V.NOT_PSI_STAR_MIXING, "convex-propagation", True)]),
+    (Convex((0.5, 0.5), (Gaussian(0.0), Fgm(0.6))),
+     [(V.PSI_PRIME_MIXING, "mixture-density-floor", True)]),
+], ids=repr)
+def test_classify_findings_are_pinned(c, expected):
+    assert [(f.verdict, f.rule, f.certified) for f in classify(c, 8).findings] == expected
+
+
+def test_a_rounding_residue_is_no_density_floor():
+    # 1 - 0.7 - 0.3 is 5.6e-17 in floating point, yet Mardia(0.7, 0.3) has no
+    # Pi part, so a mixture of it with W has no absolutely continuous part
+    c = Convex((0.5, 0.5), (Mardia(0.7, 0.3), W))
+    assert [f.rule for f in classify(c, 8).findings] == ["convex-propagation"]

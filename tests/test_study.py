@@ -8,13 +8,18 @@ from copulamix import (
     ConfigError,
     ExperimentConfig,
     Fgm,
+    Frechet,
+    Gaussian,
     Normal,
+    NumericFold,
     Perturbation,
     Uniform01,
     default_study_config,
     derive_seed,
+    density_grid,
     replicate_robust_means,
 )
+from copulamix import mixing
 from copulamix.study import (
     TABLE_LEVEL,
     axiom_check,
@@ -112,6 +117,24 @@ def test_mixing_report_set_is_incomplete_when_a_lag_lacks_its_density():
     doc, complete = mixing_report_set(cfg, "frechet_fgm", 2, 16)
     assert not complete
     assert doc["reports"][1]["density_max"] == "inf"
+
+
+@pytest.mark.parametrize("n_max, attempts", [(3, 3), (1, 1)])
+def test_mixing_report_set_tries_each_lag_density_once(monkeypatch, n_max, attempts):
+    # the fold has no density at any lag: one attempt per lag, none repeated
+    # by the floor search, which reads the lag reports
+    built = []
+
+    def counting(c, res):
+        built.append(res)
+        return density_grid(c, res)
+
+    monkeypatch.setattr(mixing, "density_grid", counting)
+    cfg = _tiny(copulas=(("hard", NumericFold(Frechet(0.6), Gaussian(0.5))),))
+    doc, complete = mixing_report_set(cfg, "hard", n_max, 16)
+    assert len(built) == attempts
+    assert not complete
+    assert [r["n"] for r in doc["reports"]] == list(range(1, n_max + 1))
 
 
 def test_surface_csv_corners(tmp_path):
