@@ -6,11 +6,11 @@ The fold product of two copulas,
 
 is the two-step transition law of a stationary Markov chain whose one-step
 law is a copula; folding is associative, and the n-fold power of the chain's
-copula gives the lag-n joint law.  ``fold`` returns a closed-form result for
-the pairs that stay inside the family algebra (independence absorbs, the
-comonotone copula is the identity, FGM, Gaussian and Mardia are closed) and
-otherwise wraps both factors in :class:`NumericFold`, which evaluates the
-integral by composite Gauss-Legendre quadrature.
+copula gives the lag-n joint law.  ``fold`` returns a closed form wherever
+one exists (a Mardia factor on either side reflects or absorbs the other;
+FGM, Gaussian and convex combinations are closed) and otherwise wraps both
+factors in :class:`NumericFold`, which evaluates the integral by composite
+Gauss-Legendre quadrature: only AMH and FGM against Gaussian need it.
 
 Parameter conventions:
 
@@ -585,21 +585,36 @@ def _merge_terms(terms) -> Copula:
     return Convex(tuple(w / total for w in merged.values()), tuple(merged.keys()))
 
 
+def _collapse(terms) -> Copula:
+    """Mix of (weight, copula) terms; the CDF is linear in the parameters, so
+    Mardia members collapse into one Mardia, and FGMs with Pi into one FGM."""
+    if len(terms) > 1 and all(isinstance(t, Mardia) for _, t in terms):
+        return _canonical_mardia(sum(w * t.a for w, t in terms), sum(w * t.b for w, t in terms))
+    if len(terms) > 1 and all(isinstance(t, Fgm) or t is PI for _, t in terms):
+        return Fgm(sum(w * t.theta for w, t in terms if t is not PI))
+    return _merge_terms(terms)
+
+
 def fold(c1: Copula, c2: Copula) -> Copula:
     """Fold product C1 * C2.
 
-    Closed-form rules: Pi absorbs, M is the identity, FGM folds to
-    FGM(theta1 * theta2 / 3), Gaussian to Gaussian(r1 * r2), the Mardia
-    weights (Pi, M and W included) compose as (a1 a2 + b1 b2, a1 b2 + a2 b1),
-    and convex combinations distribute termwise.  Any other pair becomes a
-    :class:`NumericFold`.
+    Closed-form rules: Mardia(a, b) * C = a C + b reflect_u(C) + (1-a-b) Pi,
+    and C * Mardia(a, b) likewise with reflect_v, so Pi absorbs, M is the
+    identity and Frechet(theta) * FGM(phi) = FGM(theta^3 phi); FGM folds to
+    FGM(theta1 * theta2 / 3), Gaussian to Gaussian(r1 * r2), and convex
+    combinations distribute termwise.  Any other pair becomes a :class:`NumericFold`.
     """
-    if isinstance(c1, Independence) or isinstance(c2, Independence):
-        return PI
-    if isinstance(c1, Comonotone):
-        return c2
-    if isinstance(c2, Comonotone):
-        return c1
+    # d2 W(x, t) = 1{t > 1 - x}, so W reflects the other factor; terms of weight
+    # zero are dropped.  With two Mardia factors, expand the one with fewer
+    # parts.  M goes last among equals: it hands back the other factor unchanged.
+    expansions = []
+    for m, c, reflect in ((c1, c2, reflect_u), (c2, c1, reflect_v)):
+        if isinstance(m, Mardia):
+            parts = zip((m.a, m.b, 1.0 - (m.a + m.b)), (c, reflect(c), PI))
+            expansions.append(([(w, t) for w, t in parts if w > 0.0], m == M))
+    for terms, _ in sorted(expansions, key=lambda e: (len(e[0]), e[1])):
+        if all(t is not None for _, t in terms):  # AMH has no closed-form reflection
+            return _collapse(terms)
     if isinstance(c1, Convex) or isinstance(c2, Convex):
         terms = [(w1 * w2, fold(a, b))
                  for w1, a in _convex_terms(c1)
@@ -609,9 +624,6 @@ def fold(c1: Copula, c2: Copula) -> Copula:
         return Fgm(c1.theta * c2.theta / 3.0)
     if isinstance(c1, Gaussian) and isinstance(c2, Gaussian):
         return Gaussian(c1.r * c2.r)
-    if isinstance(c1, Mardia) and isinstance(c2, Mardia):
-        a1, b1, a2, b2 = c1.a, c1.b, c2.a, c2.b
-        return _canonical_mardia(a1 * a2 + b1 * b2, a1 * b2 + a2 * b1)
     return NumericFold(c1, c2)
 
 
@@ -638,8 +650,8 @@ def check_lag(n) -> int:
 def n_fold(c: Copula, n: int) -> Copula:
     """n-step fold power of ``c`` (the lag-n copula of its chain).
 
-    Iterates ``fold``, so every closed form it knows carries over (FGM stays
-    FGM, Mardia stays Mardia, convex combinations distribute), and raises
+    Iterates ``fold``, so every closed form it knows carries over (the Mardia
+    rule, the FGM and Gaussian maps, convex distribution), and raises
     ``FoldDepthError`` once the NumericFold nesting exceeds
     ``MAX_NUMERIC_FOLD_DEPTH``.
     """

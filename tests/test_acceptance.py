@@ -23,6 +23,7 @@ from copulamix import (
     Amh,
     Convex,
     Fgm,
+    Frechet,
     Gaussian,
     Mardia,
     MixingVerdict,
@@ -90,6 +91,20 @@ def test_01_closed_form_folds_match_quadrature_folds(capsys):
             (fold(Gaussian(r1), Gaussian(r2)), NumericFold(Gaussian(r1), Gaussian(r2)), 1e-8,
              f"gaussian-{r1}x{r2}")
             for r1, r2 in ((0.5, 0.5), (0.8, -0.4), (0.25, 0.9))
+        ),
+        # the Mardia rule against factors outside the Mardia family
+        *(
+            (fold(c1, c2), NumericFold(c1, c2), 1e-6, f"mardia-rule-{label}")
+            for c1, c2, label in (
+                (W, Fgm(0.7), "w-x-fgm"),
+                (Fgm(0.7), W, "fgm-x-w"),
+                (Frechet(0.6), Fgm(0.6), "frechet-x-fgm"),
+                (Fgm(0.6), Frechet(0.6), "fgm-x-frechet"),
+                (Frechet(0.6), Gaussian(0.5), "frechet-x-gaussian"),
+                (Gaussian(0.5), Mardia(0.3, 0.2), "gaussian-x-mardia"),
+                (W, Gaussian(0.5), "w-x-gaussian"),
+                (Mardia(0.3, 0.2), Fgm(-0.8), "mardia-x-fgm"),
+            )
         ),
     ]
     worst = []

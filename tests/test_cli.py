@@ -185,13 +185,21 @@ def test_mixing_truncated_report_exits_3_but_still_writes(tmp_path):
     assert (out / "mixing_hard.json").exists()
 
 
-def test_mixing_of_the_shipped_frechet_fgm_exits_3_with_its_report(tmp_path):
+def test_mixing_of_a_fold_with_a_singular_factor_exits_3_with_its_report(tmp_path):
+    # a numeric fold with a singular factor has no density at any lag and no
+    # corner scan past lag 1: every lag of its report is partial
+    hard = to_dict(NumericFold(Frechet(0.6), Gaussian(0.5)))
+    cfg = _small_config(tmp_path, copulas={"hard": hard})
     out = tmp_path / "mix"
-    result = runner.invoke(main, ["mixing", "frechet_fgm", "--out", str(out)])
+    result = runner.invoke(main, ["mixing", "hard", "--config", str(cfg), "--out", str(out)])
     assert result.exit_code == 3
-    doc = json.loads((out / "mixing_frechet_fgm.json").read_text())
+    doc = json.loads((out / "mixing_hard.json").read_text())
     assert [r["n"] for r in doc["reports"]] == [1, 2, 3]
+    assert [r["density_max"] for r in doc["reports"]] == ["inf"] * 3
     assert doc["reports"][2]["corner_scan"] == []
+    # the shipped perturbation example folds in closed form at every lag
+    result = runner.invoke(main, ["mixing", "frechet_fgm", "--out", str(tmp_path / "shipped")])
+    assert result.exit_code == 0, result.output
 
 
 def test_mixing_validation(tmp_path):
@@ -306,18 +314,31 @@ def test_figure_data_third_copula_path(tmp_path):
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_reproduce_study_without_the_table_completes_on_the_shipped_config(tmp_path):
+def _reproduce_without_the_table(config, out):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "reproduce_study.py"), "--skip-table",
-         "--config", str(ROOT / "configs" / "table4.json"), "--out", str(tmp_path)],
+         "--config", str(config), "--out", str(out)],
         capture_output=True, text=True, env=env, timeout=300,
     )
+
+
+def test_reproduce_study_without_the_table_completes_on_the_shipped_config(tmp_path):
+    shipped = ROOT / "configs" / "table4.json"
+    proc = _reproduce_without_the_table(shipped, tmp_path)
     assert proc.returncode == 0, proc.stderr
     for name in ("fgm", "fgm_m", "frechet", "frechet_fgm"):
         assert json.loads((tmp_path / f"mixing_{name}.json").read_text())["copula"] == name
-    partial = [line for line in proc.stdout.splitlines() if "partial report" in line]
-    assert len(partial) == 1 and "mixing_frechet_fgm.json" in partial[0]
+    assert "partial report" not in proc.stdout
     assert len(list(tmp_path.glob("figure*.csv"))) == 10
     assert not (tmp_path / "table4.csv").exists()
+    # a spec without densities still completes the run, marked as partial
+    doc = json.loads(shipped.read_text())
+    doc["copulas"]["hard"] = to_dict(NumericFold(Frechet(0.6), Gaussian(0.5)))
+    config = tmp_path / "with_hard.json"
+    config.write_text(json.dumps(doc))
+    proc = _reproduce_without_the_table(config, tmp_path / "with_hard")
+    assert proc.returncode == 0, proc.stderr
+    partial = [line for line in proc.stdout.splitlines() if "partial report" in line]
+    assert len(partial) == 1 and "mixing_hard.json" in partial[0]

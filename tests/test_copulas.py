@@ -1,6 +1,7 @@
 """Copula families, the fold algebra, perturbations, and serialization."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from copulamix.copulas import (
     to_dict,
     to_json,
 )
+from copulamix.config import load_config
 from copulamix.errors import (
     ConfigError,
     DensityUnavailableError,
@@ -65,6 +67,7 @@ ZOO = (
 )
 
 AC_ZOO = tuple(c for c in ZOO if c.is_absolutely_continuous)
+REFLECTABLE = tuple(c for c in ZOO if not isinstance(c, Amh))
 
 GRID = np.linspace(0.0, 1.0, 9)
 
@@ -230,15 +233,18 @@ def test_rectangles_never_carry_negative_mass(c, a, b, x, y):
 # ---------------------------------------------------------------------------
 
 def test_pi_absorbs_everything():
-    for c in ZOO:
-        assert fold(PI, c) is PI
-        assert fold(c, PI) is PI
+    # hand-built corners absorb too: the rule reads the weights, not the class
+    for pi in (PI, Frechet(0.0), Mardia(0.0, 0.0)):
+        for c in ZOO:
+            assert fold(pi, c) is PI
+            assert fold(c, pi) is PI
 
 
 def test_m_is_the_fold_identity():
-    for c in ZOO:
-        assert fold(M, c) == c
-        assert fold(c, M) == c
+    for m in (M, Mardia(1.0, 0.0), Frechet(1.0)):
+        for c in ZOO:
+            assert fold(m, c) == c
+            assert fold(c, m) == c
 
 
 def test_w_fold_w_is_m():
@@ -270,6 +276,39 @@ def test_frechet_parameter_multiplies_under_folding():
 def test_w_against_mardia_composes_too():
     out = fold(W, Mardia(0.3, 0.2))
     assert out == Mardia(0.2, 0.3)
+
+
+@pytest.mark.parametrize("theta, phi", [(0.6, 0.6), (-0.7, 0.9), (1.0, -1.0), (0.3, -0.45)])
+def test_frechet_times_fgm_is_fgm_with_theta_cubed(theta, phi):
+    for out in (fold(Frechet(theta), Fgm(phi)), fold(Fgm(phi), Frechet(theta))):
+        assert isinstance(out, Fgm)
+        assert out.theta == pytest.approx(theta**3 * phi, abs=1e-15)
+
+
+@pytest.mark.parametrize("c", REFLECTABLE, ids=lambda c: repr(c)[:40])
+def test_w_reflects_the_other_factor(c):
+    assert fold(W, c) == reflect_u(c)
+    assert fold(c, W) == reflect_v(c)
+
+
+def test_frechet_times_gaussian_mixes_both_reflections_with_pi():
+    f = Frechet(0.6)
+    out = fold(f, Gaussian(0.5))
+    assert isinstance(out, Convex)
+    weights = dict(zip(out.components, out.weights))
+    assert weights == pytest.approx(
+        {Gaussian(0.5): f.a, Gaussian(-0.5): f.b, PI: 1.0 - (f.a + f.b)}, abs=1e-15)
+
+
+SHIPPED = load_config(Path(__file__).resolve().parent.parent / "configs" / "table4.json")
+
+
+@pytest.mark.parametrize("name", [
+    f"{name}{suffix}" for name in SHIPPED.names for suffix in ("", "@pi0.4", "@m0.7")])
+def test_shipped_specs_fold_in_closed_form_at_every_lag(name):
+    c = SHIPPED.resolve(name)
+    for n in (1, 2, 3):
+        assert numeric_fold_depth(n_fold(c, n)) == 0
 
 
 def test_gaussian_correlations_multiply_under_folding():
@@ -421,9 +460,6 @@ def test_convex_validation():
 # ---------------------------------------------------------------------------
 # reflections
 # ---------------------------------------------------------------------------
-
-REFLECTABLE = tuple(c for c in ZOO if not isinstance(c, Amh))
-
 
 @pytest.mark.parametrize("c", REFLECTABLE, ids=lambda c: repr(c)[:40])
 def test_reflection_identities(c):

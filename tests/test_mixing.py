@@ -39,6 +39,8 @@ from copulamix.mixing import (
 
 V = MixingVerdict
 FRECHET_FGM = Convex((0.6, 0.4), (Frechet(0.6), Fgm(0.6)))
+# AMH has no closed-form reflection, so its folds against Frechet stay numeric
+FRECHET_AMH = Convex((0.6, 0.4), (Frechet(0.6), Amh(0.5)))
 
 
 # ---------------------------------------------------------------------------
@@ -212,14 +214,14 @@ def test_lag_report_survives_unavailable_densities():
     assert rep.psi_star_upper == math.inf
     assert len(rep.corner_scan) == 7
     assert not rep.complete
-    # the lag-3 fold holds a factor with a singular right side, so its corner
-    # mass has no quadrature; the report keeps the floor and leaves the scan empty
-    frechet_fgm = Convex((0.6, 0.4), (Frechet(0.6), Fgm(0.6)))
-    rep = lag_report(frechet_fgm, 3, 16)
+    # the lag-3 fold holds AMH folded against Frechet, which has no closed-form
+    # reflection, so its corner mass has no quadrature; the report keeps the
+    # floor and leaves the scan empty
+    rep = lag_report(FRECHET_AMH, 3, 8)
     assert rep.corner_scan == ()
     assert rep.psi_prime_lower > 0.0
     assert not rep.complete
-    assert lag_report(frechet_fgm, 1, 16).complete
+    assert lag_report(FRECHET_AMH, 1, 16).complete
     assert lag_report(Gaussian(0.5), 1, 64).complete  # unbounded, yet computed
 
 
@@ -251,9 +253,9 @@ def test_an_unavailable_lag_density_is_tried_once(monkeypatch):
         return density_grid(c, res)
 
     monkeypatch.setattr(mixing, "density_grid", counting)
-    rep = lag_report(FRECHET_FGM, 2, 16)
-    assert built == ["Convex", "Mardia", "Fgm"]
-    assert rep.psi_prime_lower == psi_prime_lower_bound(FRECHET_FGM, 2, 16) > 0.0
+    rep = lag_report(FRECHET_AMH, 2, 16)
+    assert built == ["Convex", "Mardia", "NumericFold"]
+    assert rep.psi_prime_lower == psi_prime_lower_bound(FRECHET_AMH, 2, 16) > 0.0
 
 
 @pytest.mark.parametrize("c, lags", [

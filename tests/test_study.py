@@ -5,7 +5,9 @@ import json
 import pytest
 
 from copulamix import (
+    Amh,
     ConfigError,
+    Convex,
     ExperimentConfig,
     Fgm,
     Frechet,
@@ -110,11 +112,12 @@ def test_mixing_report_set_shares_findings_across_lags():
 
 
 def test_mixing_report_set_is_incomplete_when_a_lag_lacks_its_density():
-    cfg = default_study_config()
-    doc, complete = mixing_report_set(cfg, "frechet_fgm", 1, 16)
+    cfg = _tiny(copulas=(("frechet_amh", Convex((0.6, 0.4), (Frechet(0.6), Amh(0.5)))),))
+    doc, complete = mixing_report_set(cfg, "frechet_amh", 1, 16)
     assert complete
-    # the lag-2 fold has factors with singular parts and no density
-    doc, complete = mixing_report_set(cfg, "frechet_fgm", 2, 16)
+    # the lag-2 fold holds AMH against Frechet, a numeric fold with a singular
+    # factor and no density
+    doc, complete = mixing_report_set(cfg, "frechet_amh", 2, 16)
     assert not complete
     assert doc["reports"][1]["density_max"] == "inf"
 
