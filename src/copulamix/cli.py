@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -148,8 +147,8 @@ def mixing(name, n_max, resolution, config_path, out_dir):
 
 
 def _fmt(value) -> str:
-    if value == "inf" or (isinstance(value, float) and math.isinf(value)):
-        return "inf"
+    if value == "inf":  # the report's JSON form of an infinite bound
+        return value
     return f"{value:.6g}"
 
 

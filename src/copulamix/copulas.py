@@ -10,7 +10,9 @@ copula gives the lag-n joint law.  ``fold`` returns a closed form wherever
 one exists (a Mardia factor on either side reflects or absorbs the other;
 FGM, Gaussian and convex combinations are closed) and otherwise wraps both
 factors in :class:`NumericFold`, which evaluates the integral by composite
-Gauss-Legendre quadrature: only AMH and FGM against Gaussian need it.
+Gauss-Legendre quadrature: only AMH and FGM against Gaussian need it.  A
+mixture that ``fold`` returns holds at most one Mardia and one FGM component;
+``perturb_pi`` and ``perturb_m`` keep their components, which chains sample.
 
 Parameter conventions:
 
@@ -93,8 +95,8 @@ class Copula:
 
     @property
     def has_kinks(self) -> bool:
-        """True when the partials are only piecewise smooth in t."""
-        return False
+        """True when the partials bend in t; each family bends at every x or at none."""
+        return bool(self.kinks(0.5))
 
     def kinks(self, x: float) -> tuple[float, ...]:
         """Breakpoints of t -> d2 C(x, t), and by exchangeability of t -> d1 C(t, x)."""
@@ -154,10 +156,6 @@ class Mardia(Copula):
     @property
     def is_absolutely_continuous(self) -> bool:
         return self.a == 0.0 and self.b == 0.0
-
-    @property
-    def has_kinks(self) -> bool:
-        return self.a > 0.0 or self.b > 0.0
 
     def kinks(self, x):
         # the M part bends its partials at t = x, the W part at t = 1 - x
@@ -234,8 +232,7 @@ class Gaussian(Copula):
     def cdf_raw(self, u, v):
         if self.r == 0.0:
             return u * v
-        ub, vb = np.broadcast_arrays(np.atleast_1d(np.asarray(u, dtype=float)),
-                                     np.atleast_1d(np.asarray(v, dtype=float)))
+        ub, vb, _ = _prep(u, v)
         out = np.where(ub <= vb, ub, vb).astype(float)  # boundary rows reduce to min(u, v)
         inner = (ub > 0.0) & (ub < 1.0) & (vb > 0.0) & (vb < 1.0)
         if np.any(inner):
@@ -270,8 +267,7 @@ class Gaussian(Copula):
     def cond_u_raw(self, u, v):
         rho = self.r
         s = math.sqrt(1.0 - rho * rho)
-        ub, vb = np.broadcast_arrays(np.atleast_1d(np.asarray(u, dtype=float)),
-                                     np.atleast_1d(np.asarray(v, dtype=float)))
+        ub, vb, _ = _prep(u, v)
         out = np.where(vb >= 1.0, 1.0, 0.0)
         inner = (vb > 0.0) & (vb < 1.0)
         if np.any(inner):
@@ -335,13 +331,10 @@ class Convex(Copula):
             raise DomainError(f"Convex weights must sum to 1, got {sum(ws)!r}")
         merged: dict[Copula, float] = {}
         for w, comp in zip(ws, comps):
-            if isinstance(comp, Convex):
-                for wi, ci in zip(comp.weights, comp.components):
-                    merged[ci] = merged.get(ci, 0.0) + w * wi
-            elif isinstance(comp, Copula):
-                merged[comp] = merged.get(comp, 0.0) + w
-            else:
+            if not isinstance(comp, Copula):
                 raise DomainError(f"Convex component is not a copula: {comp!r}")
+            for wi, ci in _convex_terms(comp):
+                merged[ci] = merged.get(ci, 0.0) + w * wi
         object.__setattr__(self, "weights", tuple(merged.values()))
         object.__setattr__(self, "components", tuple(merged.keys()))
 
@@ -367,10 +360,6 @@ class Convex(Copula):
     @property
     def is_absolutely_continuous(self) -> bool:
         return all(c.is_absolutely_continuous for c in self.components)
-
-    @property
-    def has_kinks(self) -> bool:
-        return any(c.has_kinks for c in self.components)
 
     def kinks(self, x):
         return sum((c.kinks(x) for c in self.components), ())
@@ -426,8 +415,7 @@ class NumericFold(Copula):
 
 def _fold_quad(f_left, g_right, u, v, kinks_x=None, kinks_y=None):
     """Evaluate integral over t of f_left(x, t) * g_right(t, y) elementwise."""
-    xb, yb = np.broadcast_arrays(np.atleast_1d(np.asarray(u, dtype=float)),
-                                 np.atleast_1d(np.asarray(v, dtype=float)))
+    xb, yb, _ = _prep(u, v)
     x = xb.ravel()
     y = yb.ravel()
     out = np.empty_like(x)
@@ -575,24 +563,36 @@ def _convex_terms(c: Copula):
     return [(1.0, c)]
 
 
-def _merge_terms(terms) -> Copula:
-    merged: dict[Copula, float] = {}
-    for w, comp in terms:
-        merged[comp] = merged.get(comp, 0.0) + w
-    if len(merged) == 1:
-        return next(iter(merged))
-    total = sum(merged.values())
-    return Convex(tuple(w / total for w in merged.values()), tuple(merged.keys()))
+def _mixture(terms) -> Copula:
+    """Normal form of a mix of (weight, copula) terms; a single term comes back as is.
+
+    The CDF is linear in the parameters, so all Mardia members pool into one Mardia
+    and all FGMs into one FGM; Pi joins the FGM when it is the only Mardia part.
+    """
+    if len(terms) == 1:
+        return terms[0][1]
+    flat = Convex(*zip(*terms))
+    pools: dict = {}
+    for w, c in zip(flat.weights, flat.components):
+        family = Mardia if isinstance(c, Mardia) else Fgm if isinstance(c, Fgm) else c
+        pools.setdefault(family, []).append((w, c))
+    if Fgm in pools and [c for _, c in pools.get(Mardia, ())] == [PI]:
+        pools[Fgm] += pools.pop(Mardia)
+    members = {_pool(group): sum(w for w, _ in group) for group in pools.values()}
+    if len(members) == 1:
+        return next(iter(members))
+    total = sum(members.values())
+    return Convex(tuple(w / total for w in members.values()), tuple(members))
 
 
-def _collapse(terms) -> Copula:
-    """Mix of (weight, copula) terms; the CDF is linear in the parameters, so
-    Mardia members collapse into one Mardia, and FGMs with Pi into one FGM."""
-    if len(terms) > 1 and all(isinstance(t, Mardia) for _, t in terms):
-        return _canonical_mardia(sum(w * t.a for w, t in terms), sum(w * t.b for w, t in terms))
-    if len(terms) > 1 and all(isinstance(t, Fgm) or t is PI for _, t in terms):
-        return Fgm(sum(w * t.theta for w, t in terms if t is not PI))
-    return _merge_terms(terms)
+def _pool(group) -> Copula:
+    if len(group) == 1:
+        return group[0][1]
+    total = sum(w for w, _ in group)
+    if all(isinstance(c, Mardia) for _, c in group):
+        return _canonical_mardia(sum(w * c.a for w, c in group) / total,
+                                 sum(w * c.b for w, c in group) / total)
+    return Fgm(sum(w * c.theta for w, c in group if isinstance(c, Fgm)) / total)
 
 
 def fold(c1: Copula, c2: Copula) -> Copula:
@@ -602,7 +602,8 @@ def fold(c1: Copula, c2: Copula) -> Copula:
     and C * Mardia(a, b) likewise with reflect_v, so Pi absorbs, M is the
     identity and Frechet(theta) * FGM(phi) = FGM(theta^3 phi); FGM folds to
     FGM(theta1 * theta2 / 3), Gaussian to Gaussian(r1 * r2), and convex
-    combinations distribute termwise.  Any other pair becomes a :class:`NumericFold`.
+    combinations distribute termwise.  Mixtures come back with at most one Mardia
+    and one FGM component.  Any other pair becomes a :class:`NumericFold`.
     """
     # d2 W(x, t) = 1{t > 1 - x}, so W reflects the other factor; terms of weight
     # zero are dropped.  With two Mardia factors, expand the one with fewer
@@ -614,12 +615,12 @@ def fold(c1: Copula, c2: Copula) -> Copula:
             expansions.append(([(w, t) for w, t in parts if w > 0.0], m == M))
     for terms, _ in sorted(expansions, key=lambda e: (len(e[0]), e[1])):
         if all(t is not None for _, t in terms):  # AMH has no closed-form reflection
-            return _collapse(terms)
+            return _mixture(terms)
     if isinstance(c1, Convex) or isinstance(c2, Convex):
         terms = [(w1 * w2, fold(a, b))
                  for w1, a in _convex_terms(c1)
                  for w2, b in _convex_terms(c2)]
-        return _merge_terms(terms)
+        return _mixture(terms)
     if isinstance(c1, Fgm) and isinstance(c2, Fgm):
         return Fgm(c1.theta * c2.theta / 3.0)
     if isinstance(c1, Gaussian) and isinstance(c2, Gaussian):
@@ -665,30 +666,28 @@ def n_fold(c: Copula, n: int) -> Copula:
     return acc
 
 
-def perturb_pi(c: Copula, alpha: float) -> Copula:
-    """Mix toward independence: (1 - alpha) C + alpha Pi."""
+def _perturb(c: Copula, alpha: float, target: Copula) -> Copula:
+    """(1 - alpha) C + alpha target.  Both components stay: chains sample them."""
     alpha = float(alpha)
     if not 0.0 <= alpha <= 1.0:
         raise DomainError(f"perturbation weight must lie in [0, 1], got {alpha}")
-    if isinstance(c, Fgm):
+    if isinstance(c, Fgm) and target is PI:
         return Fgm(c.theta * (1.0 - alpha))
-    if alpha == 0.0:
-        return c
     if alpha == 1.0:
-        return PI
-    return _merge_terms([(1.0 - alpha, c), (alpha, PI)])
+        return target
+    if alpha == 0.0 or c == target:
+        return c
+    return Convex((1.0 - alpha, alpha), (c, target))
+
+
+def perturb_pi(c: Copula, alpha: float) -> Copula:
+    """Mix toward independence: (1 - alpha) C + alpha Pi; an FGM stays one FGM."""
+    return _perturb(c, alpha, PI)
 
 
 def perturb_m(c: Copula, alpha: float) -> Copula:
     """Mix toward comonotone dependence: (1 - alpha) C + alpha M."""
-    alpha = float(alpha)
-    if not 0.0 <= alpha <= 1.0:
-        raise DomainError(f"perturbation weight must lie in [0, 1], got {alpha}")
-    if alpha == 0.0:
-        return c
-    if alpha == 1.0:
-        return M
-    return _merge_terms([(1.0 - alpha, c), (alpha, M)])
+    return _perturb(c, alpha, M)
 
 
 # ---------------------------------------------------------------------------
@@ -726,10 +725,6 @@ def density_grid(c: Copula, m: int) -> DensityGrid:
     return DensityGrid(m, vals)
 
 
-def is_quadrature_backed(c: Copula) -> bool:
-    return numeric_fold_depth(c) > 0
-
-
 @dataclass(frozen=True)
 class AxiomReport:
     """Lattice check of the copula axioms at one resolution."""
@@ -759,7 +754,7 @@ def check_copula_axioms(c: Copula, m: int = 32) -> AxiomReport:
     xs = np.linspace(0.0, 1.0, m + 1)
     uu, vv = np.meshgrid(xs, xs, indexing="ij")
     grid = c.cdf_raw(uu, vv)
-    margin_tol = 1e-8 if is_quadrature_backed(c) else 1e-12
+    margin_tol = 1e-8 if numeric_fold_depth(c) > 0 else 1e-12
     cell_tol = -1e-12
 
     grounded = max(float(np.abs(grid[0, :]).max()), float(np.abs(grid[:, 0]).max()))

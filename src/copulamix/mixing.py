@@ -35,8 +35,8 @@ from .copulas import (
     Rect,
     check_lag,
     density_grid,
-    is_quadrature_backed,
     n_fold,
+    numeric_fold_depth,
     rectangle_probability,
     reflect_u,
     reflect_v,
@@ -135,10 +135,13 @@ class EpsDecomposition:
 
 def density_extrema(c: Copula, n: int, m: int) -> tuple:
     """(min, max) of the lag-n AC density over the m x m midpoint grid."""
+    return _grid_extrema(n_fold(c, n), m)
+
+
+def _grid_extrema(cn: Copula, m: int) -> tuple:
     if m < 8:
         raise DomainError("resolution must be at least 8")
-    grid = density_grid(n_fold(c, n), m)
-    vals = grid.values
+    vals = density_grid(cn, m).values
     return float(vals.min()), float(vals.max())
 
 
@@ -217,10 +220,13 @@ def corner_divergence_scan(c: Copula, n: int, eps_list: Sequence[float]) -> list
     Ratios growing like 1/eps certify that the lag-n psi-star coefficient is
     infinite along this family of events.
     """
+    return _corner_scan(n_fold(c, n), eps_list)
+
+
+def _corner_scan(cn: Copula, eps_list: Sequence[float]) -> list:
     for eps in eps_list:
         if not 0.0 < eps < 0.5:
             raise DomainError("each epsilon must lie in (0, 0.5)")
-    cn = n_fold(c, n)
     orientations = ((False, False), (False, True), (True, False), (True, True))
     out = []
     for eps in eps_list:
@@ -323,12 +329,12 @@ def lag_report(
     """Assemble the per-lag numbers into a report (findings are attached by classify)."""
     cn = n_fold(c, n)
     try:
-        lo, hi = density_extrema(c, n, m)
+        lo, hi = _grid_extrema(cn, m)
         psi_prime = min(lo, 1.0)  # psi_prime_lower_bound of this very grid
         unbounded = False
         # the refinement ladder is affordable only for closed-form densities;
         # quadrature-backed folds rely on the corner scan for divergence evidence
-        if hi > 5.0 and not is_quadrature_backed(cn):
+        if hi > 5.0 and numeric_fold_depth(cn) == 0:
             unbounded, hi_fine = _grid_maxima_unbounded(cn, m, hi)
             hi = max(hi, hi_fine)
         density_min, density_max = lo, (math.inf if unbounded else hi)
@@ -338,7 +344,7 @@ def lag_report(
 
     psi_star = max(density_max, 1.0) if cn.is_absolutely_continuous else math.inf
     try:
-        scan = tuple(corner_divergence_scan(c, n, eps_list))
+        scan = tuple(_corner_scan(cn, eps_list))
     except UnsupportedCopulaError:
         scan = ()  # a fold with a singular factor: no corner mass to scan
     return MixingReport(

@@ -107,6 +107,13 @@ def test_01_closed_form_folds_match_quadrature_folds(capsys):
             )
         ),
     ]
+    # the normal form of the shipped mixtures at lags 2 and 3
+    for name in ("fgm_m", "frechet_fgm", "frechet_fgm@m0.7"):
+        c = default_study_config().resolve(name)
+        cases += [
+            (fold(c, c), NumericFold(c, c), 1e-6, f"{name}-lag-2"),
+            (n_fold(c, 3), NumericFold(n_fold(c, 2), c), 1e-6, f"{name}-lag-3"),
+        ]
     worst = []
     for closed, numeric, tol, label in cases:
         err = _max_cdf_diff(closed, numeric)

@@ -56,6 +56,13 @@ def test_fold_power_of_one_spec():
     result = runner.invoke(main, ["fold", "fgm", "--n", "3"])
     assert result.exit_code == 0
     assert json.loads(result.output)["theta"] == pytest.approx(3 * 0.2 ** 3)
+    # a mixture's power holds one Mardia and one FGM component
+    result = runner.invoke(main, ["fold", "frechet_fgm", "--n", "3"])
+    assert result.exit_code == 0
+    doc = json.loads(result.output)
+    assert doc["family"] == "convex"
+    assert [c["family"] for c in doc["components"]] == ["mardia", "fgm"]
+    assert doc["weights"] == pytest.approx([0.216, 0.784], abs=1e-15)
 
 
 def test_fold_usage_errors_exit_2():

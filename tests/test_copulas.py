@@ -29,7 +29,6 @@ from copulamix.copulas import (
     fold,
     from_dict,
     from_json,
-    is_quadrature_backed,
     n_fold,
     numeric_fold_depth,
     perturb_m,
@@ -308,14 +307,22 @@ SHIPPED = load_config(Path(__file__).resolve().parent.parent / "configs" / "tabl
 def test_shipped_specs_fold_in_closed_form_at_every_lag(name):
     c = SHIPPED.resolve(name)
     for n in (1, 2, 3):
-        assert numeric_fold_depth(n_fold(c, n)) == 0
+        out = n_fold(c, n)
+        assert numeric_fold_depth(out) == 0
+        if n == 1:
+            continue  # the spec itself: a perturbation keeps its components for the sampler
+        # the normal form: at most one Mardia member and one FGM
+        parts = out.components if isinstance(out, Convex) else (out,)
+        assert all(isinstance(p, (Mardia, Fgm)) for p in parts), out
+        assert sum(isinstance(p, Mardia) for p in parts) <= 1, out
+        assert sum(isinstance(p, Fgm) for p in parts) <= 1, out
 
 
 def test_gaussian_correlations_multiply_under_folding():
     assert fold(Gaussian(0.5), Gaussian(0.5)) == Gaussian(0.25)
     assert fold(Gaussian(0.8), Gaussian(-0.4)) == Gaussian(0.8 * -0.4)
     assert n_fold(Gaussian(0.5), 3) == Gaussian(0.125)
-    assert not is_quadrature_backed(n_fold(Gaussian(-0.8), 5))
+    assert numeric_fold_depth(n_fold(Gaussian(-0.8), 5)) == 0
 
 
 def test_convex_combinations_distribute():
@@ -339,8 +346,8 @@ def test_fold_is_associative_on_closed_forms():
 def test_unmatched_pairs_become_quadrature_folds():
     out = fold(Amh(0.5), Gaussian(0.3))
     assert isinstance(out, NumericFold)
-    assert is_quadrature_backed(out)
-    assert not is_quadrature_backed(Fgm(0.5))
+    assert numeric_fold_depth(out) > 0
+    assert numeric_fold_depth(Fgm(0.5)) == 0
 
 
 def test_quadrature_fold_agrees_with_a_closed_form():
@@ -414,6 +421,11 @@ def test_fgm_is_closed_under_pi_perturbation():
     out = perturb_pi(Fgm(1.0), 0.4)
     assert isinstance(out, Fgm)
     assert out.theta == pytest.approx(0.6, abs=1e-15)
+    # other families keep both components, though Frechet and Pi are one Mardia
+    mixed = perturb_pi(Frechet(0.6), 0.4)
+    assert isinstance(mixed, Convex)
+    assert mixed.components == (Frechet(0.6), PI)
+    assert mixed.weights == (0.6, 0.4)
 
 
 def test_perturbation_endpoints():
@@ -422,6 +434,7 @@ def test_perturbation_endpoints():
     assert perturb_m(c, 0.0) is c
     assert perturb_pi(c, 1.0) is PI
     assert perturb_m(c, 1.0) is M
+    assert perturb_m(M, 0.5) is M
     with pytest.raises(DomainError):
         perturb_pi(c, 1.5)
     with pytest.raises(DomainError):

@@ -258,6 +258,22 @@ def test_an_unavailable_lag_density_is_tried_once(monkeypatch):
     assert rep.psi_prime_lower == psi_prime_lower_bound(FRECHET_AMH, 2, 16) > 0.0
 
 
+def test_each_lag_is_folded_once(monkeypatch):
+    # the lag-n copula built for the report also feeds its grid and its scan
+    calls = []
+
+    def counting(c, n):
+        calls.append(n)
+        return n_fold(c, n)
+
+    monkeypatch.setattr(mixing, "n_fold", counting)
+    lag_report(FRECHET_FGM, 3, 64)
+    assert calls == [3]
+    calls.clear()
+    lag_reports(FRECHET_FGM, 3, 64)
+    assert calls == [1, 2, 3]
+
+
 @pytest.mark.parametrize("c, lags", [
     *((c, (1, 2)) for c in (
         PI, M, W, Fgm(0.6), Fgm(-1.0), Mardia(0.3, 0.2), Frechet(0.6),
