@@ -10,6 +10,7 @@ toward the comonotone copula.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -123,6 +124,13 @@ def _marginal_from_dict(d) -> Marginal:
     raise ConfigError(f"unknown marginal kind {kind!r}")
 
 
+def _whole(x) -> int:
+    """``x`` as an int when it is a whole number; a bool, a string or a fraction is an error."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real) or x != int(x):
+        raise ConfigError(f"expected a whole number, got {x!r}")
+    return int(x)
+
+
 def parse_config(doc: dict) -> ExperimentConfig:
     """Validate a parsed JSON document and build the config."""
     if not isinstance(doc, dict):
@@ -136,13 +144,13 @@ def parse_config(doc: dict) -> ExperimentConfig:
     try:
         copulas = tuple((name, from_dict(spec)) for name, spec in copulas_doc.items())
         marginal = _marginal_from_dict(doc.get("marginal", {"kind": "uniform"}))
-        sizes = tuple(int(n) for n in doc.get("sizes", []))
+        sizes = tuple(_whole(n) for n in doc.get("sizes", []))
         perturbations = tuple(
             Perturbation(str(p.get("kind")), float(p.get("alpha")))
             for p in doc.get("perturbations", [])
         )
-        seed = int(doc.get("seed", 0))
-        replications = int(doc.get("replications", 1))
+        seed = _whole(doc.get("seed", 0))
+        replications = _whole(doc.get("replications", 1))
         outputs = str(doc.get("outputs", "results"))
     except ConfigError:
         raise

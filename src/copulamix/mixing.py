@@ -3,15 +3,21 @@
 Three dependence coefficients are tracked for the chain at lag n, all defined
 through ratios P(A x B) / (lambda(A) lambda(B)) over rectangles-of-events:
 
-* psi-prime: the infimum of the ratio; positive values certify lower mixing,
-  and the essential infimum of the lag-n density is a valid lower bound.
-* psi-star: the supremum; a finite density ceiling for a purely absolutely
-  continuous lag-n copula is a valid upper bound.
-* psi: the two-sided coefficient, bounded through the one-sided pair.
+* psi-prime: the infimum of the ratio; the essential infimum of the lag-n
+  density bounds it from below.
+* psi-star: the supremum; for a purely absolutely continuous lag-n copula the
+  essential supremum of its density bounds it from above.
+* psi: the two-sided coefficient, max(psi-star - 1, 1 - psi-prime).
 
-Exact suprema over Borel sets are not computable, so this module reports
-certified one-sided bounds where a closed form exists, grid evidence where it
-does not, and divergence certificates from explicit corner-event families.
+Every certified verdict comes from one closed-form envelope per family: a
+density floor and ceiling that hold at every lag, and a flag for psi-star
+infinite at every lag.  A report's ``psi_prime_lower`` and ``psi_star_upper``
+are the lag-n density's minimum (capped at 1) and maximum (raised to 1) over a
+midpoint grid: estimates, not bounds, since a grid can only overstate the
+infimum and understate the supremum.  Only where the lag-n density is
+unavailable does ``psi_prime_lower`` hold the envelope floor, a true bound.
+Grid maxima across resolutions and corner-event scans give uncertified
+psi-star evidence where the envelope leaves that side open.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,6 +38,7 @@ from .copulas import (
     Fgm,
     Gaussian,
     Mardia,
+    NumericFold,
     Rect,
     check_lag,
     density_grid,
@@ -59,7 +66,7 @@ class MixingVerdict(str, Enum):
 
 @dataclass(frozen=True)
 class Finding:
-    """One classification outcome live with the rule that produced it."""
+    """One classification outcome together with the rule that produced it."""
 
     verdict: MixingVerdict
     rule: str
@@ -146,37 +153,19 @@ def _grid_extrema(cn: Copula, m: int) -> tuple:
 
 
 def psi_prime_lower_bound(c: Copula, n: int, m: int = DEFAULT_RESOLUTION) -> float:
-    """Certified lower bound for psi-prime at lag n.
+    """The psi-prime floor a lag-n report carries.
 
-    The essential infimum of the lag-n AC density bounds the event-ratio
-    infimum from below; the grid minimum stands in for it.  When the lag-n
-    density cannot be evaluated directly (a fold with a singular factor, or
-    fold nesting past the cap), a convex combination is bounded through its
-    components' own floors.
+    It is the minimum of the lag-n density over the m x m midpoint grid,
+    capped at 1: an estimate of the density's essential infimum from above,
+    not a bound.  When the lag-n density is unavailable (a fold with a
+    singular factor, or fold nesting past the cap) it is the closed-form
+    envelope floor, which is a certified lower bound.
     """
     try:
         lo, _ = density_extrema(c, n, m)
     except (DensityUnavailableError, FoldDepthError):
-        if not isinstance(c, Convex):
-            raise
-        return _component_floor(c, n, m)
+        return _envelope(c, n)[0]
     return min(float(lo), 1.0)
-
-
-def _component_floor(c: Convex, n: int, m: int) -> float:
-    """psi-prime floor of a mixture whose lag-n density is unavailable.
-
-    The n-fold of component j alone carries weight w_j^n inside the expanded
-    mixture, so w_j^n times that component's own floor is still a valid lower
-    bound; the best such term is returned, 0 when no component has a floor.
-    """
-    best = 0.0
-    for w, comp in zip(c.weights, c.components):
-        try:
-            best = max(best, (w ** n) * psi_prime_lower_bound(comp, n, m))
-        except (DensityUnavailableError, FoldDepthError):
-            continue
-    return min(best, 1.0)
 
 
 def verify_eps_decomposition(d: DensityGrid, e: EpsDecomposition) -> tuple:
@@ -270,54 +259,39 @@ def _scan_diverges(scan: Sequence[tuple]) -> bool:
     return ratios[-1] >= 10.0 * max(ratios[0], 1.0) and ratios[-1] > 50.0
 
 
-def _certificates(c: Copula) -> tuple:
-    """Closed-form (lag-1 AC density floor, psi_1 < 1, not psi-star mixing).
+def _envelope(c: Copula, n: int) -> tuple:
+    """(floor, ceiling, unbounded_at_every_lag) of the lag-n copula of ``c``.
 
-    Each part is the safe value (0, False, False) where no closed form decides it.
+    The floor and ceiling bound the absolutely continuous density of the lag-n
+    law from below and above; the ceiling is inf when that law has a singular
+    part or no finite bound is known.  The flag says psi-star is infinite at
+    every lag.  A fold's density is at least the floor of either factor and at
+    most the ceiling of either absolutely continuous factor, so a lag-1
+    envelope holds at every later lag: the AMH, Convex and NumericFold rules
+    use that.  Any other copula gets the neutral (0, inf, False).
     """
     if isinstance(c, Fgm):
-        return 1.0 - abs(c.theta), abs(c.theta) < 1.0, False
+        return (*fgm_psi_bounds(c.theta, n), False)
     if isinstance(c, Mardia):
-        # the floor is the Pi weight, exactly 0 when a + b == 1 (1 - a - b can
-        # leave a rounding residue there); only Pi itself has psi_1 < 1
-        return 1.0 - (c.a + c.b), c.is_absolutely_continuous, c.a > 0.0 or c.b > 0.0
+        # the Pi weight of the n-th power; from a + b it is exactly 0 when
+        # a + b == 1, where 1 - a - b can leave a rounding residue
+        singular = c.a + c.b
+        return 1.0 - singular ** n, (math.inf if singular > 0.0 else 1.0), singular > 0.0
     if isinstance(c, Gaussian):
-        return 0.0, False, c.r != 0.0
+        return (1.0, 1.0, False) if c.r == 0.0 else (0.0, math.inf, True)
+    if isinstance(c, Amh):
+        # the density's range over the open square, set by its corner limits
+        th = c.theta
+        return 1.0 - abs(th), (max(1.0 - th, 1.0 / (1.0 - th)) if th < 1.0 else math.inf), False
     if isinstance(c, Convex):
-        parts = [(w, *_certificates(comp)) for w, comp in zip(c.weights, c.components)]
-        return (sum(w * floor for w, floor, _, _ in parts),
-                all(small for _, _, small, _ in parts),
-                any(w > 0.0 and diverges for w, _, _, diverges in parts))
-    return 0.0, False, False
-
-
-def _closed_form_findings(c: Copula) -> list:
-    """Family rules that need no grid work."""
-    if (isinstance(c, Fgm) and c.theta == 0.0) \
-            or (isinstance(c, Gaussian) and c.r == 0.0) \
-            or (isinstance(c, Mardia) and c.a == 0.0 and c.b == 0.0) \
-            or (isinstance(c, Amh) and c.theta == 0.0):
-        return [Finding(MixingVerdict.PSI_MIXING, "independence-product", True)]
-    if isinstance(c, Fgm):
-        return [Finding(MixingVerdict.PSI_MIXING, "fgm-envelope", True)]
-    # the AMH density's sup over the open square is max(1-theta, 1/(1-theta)),
-    # its corner limits at (0,1) and (0,0): finite for every theta != 1
-    if isinstance(c, Amh) and c.theta != 1.0:
-        return [Finding(MixingVerdict.PSI_STAR_MIXING, "amh-bounded-density", True)]
-    if isinstance(c, Gaussian):
-        return [Finding(MixingVerdict.NOT_PSI_STAR_MIXING, "gaussian-corner-divergence", True)]
-    if not isinstance(c, (Mardia, Convex)):
-        return []
-    floor, psi1_small, not_psi_star = _certificates(c)
-    if psi1_small:  # every component is Pi or an FGM with |theta| < 1
-        return [Finding(MixingVerdict.PSI_MIXING, "convex-psi-small", True)]
-    out = []
-    if floor > 0.0:
-        out.append(Finding(MixingVerdict.PSI_PRIME_MIXING, "mixture-density-floor", True))
-    if not_psi_star:
-        rule = "convex-propagation" if isinstance(c, Convex) else "singular-corner-mass"
-        out.append(Finding(MixingVerdict.NOT_PSI_STAR_MIXING, rule, True))
-    return out
+        parts = [(w, *_envelope(comp, 1)) for w, comp in zip(c.weights, c.components)]
+        return (sum(w * lo for w, lo, _, _ in parts),
+                sum(w * hi for w, _, hi, _ in parts),
+                any(flag for _, _, _, flag in parts))
+    if isinstance(c, NumericFold):
+        (lo_l, hi_l, _), (lo_r, hi_r, _) = _envelope(c.left, 1), _envelope(c.right, 1)
+        return max(lo_l, lo_r), min(hi_l, hi_r), False
+    return 0.0, math.inf, False
 
 
 def lag_report(
@@ -326,7 +300,7 @@ def lag_report(
     m: int = DEFAULT_RESOLUTION,
     eps_list: Sequence[float] = DEFAULT_EPS_LADDER,
 ) -> MixingReport:
-    """Assemble the per-lag numbers into a report (findings are attached by classify)."""
+    """The lag-n numbers as a report without findings; ``lag_reports`` attaches them."""
     cn = n_fold(c, n)
     try:
         lo, hi = _grid_extrema(cn, m)
@@ -340,7 +314,7 @@ def lag_report(
         density_min, density_max = lo, (math.inf if unbounded else hi)
     except DensityUnavailableError:
         density_min, density_max, unbounded = 0.0, math.inf, False
-        psi_prime = _component_floor(c, n, m) if isinstance(c, Convex) else 0.0
+        psi_prime = _envelope(c, n)[0]
 
     psi_star = max(density_max, 1.0) if cn.is_absolutely_continuous else math.inf
     try:
@@ -358,52 +332,46 @@ def lag_report(
     )
 
 
-def _findings(c: Copula, first: MixingReport, floors: Iterable[float]) -> tuple:
-    """Closed-form findings, else grid evidence from the lag-1 report ``first``.
+def _findings(c: Copula, first: MixingReport) -> tuple:
+    """Verdicts from the lag-2 envelope, plus grid evidence from the lag-1
+    report ``first`` where the envelope leaves the psi-star side open.
 
-    ``floors`` yields the psi-prime floors at lags 1, 2, ...; it is read only
-    when no family rule applies, and only up to the first positive floor.
+    Every absolutely continuous family here has a density positive almost
+    everywhere, so its chain is ergodic and aperiodic (Longla and Peligrad
+    2012), and a positive floor or a finite ceiling at one lag then carries
+    over to every later lag (Bradley 2005).  Lag 2 is where FGM(+-1) first has
+    a positive floor.  Grid findings are marked not certified; PsiMixing and
+    NotPsiStarMixing are never reported together.
     """
-    findings = _closed_form_findings(c)
-    if findings:
-        return tuple(findings)
-    try:
-        floor_lag = next((lag for lag, lo in enumerate(floors, 1) if lo > 0.0), None)
-    except (DensityUnavailableError, FoldDepthError):
-        floor_lag = None
-    if floor_lag is not None:
-        rule = f"density-floor-grid@n={floor_lag}"
-        findings.append(Finding(MixingVerdict.PSI_PRIME_MIXING, rule, False))
-    if first.density_unbounded_evidence or _scan_diverges(first.corner_scan):
+    floor, ceiling, unbounded = _envelope(c, 2)
+    if floor > 0.0 and ceiling < math.inf:
+        return (Finding(MixingVerdict.PSI_MIXING, "density-envelope", True),)
+    findings = []
+    if floor > 0.0:
+        findings.append(Finding(MixingVerdict.PSI_PRIME_MIXING, "density-floor", True))
+    if unbounded:
+        findings.append(Finding(MixingVerdict.NOT_PSI_STAR_MIXING, "unbounded-at-every-lag", True))
+    elif ceiling < math.inf:
+        findings.append(Finding(MixingVerdict.PSI_STAR_MIXING, "density-ceiling", True))
+    elif first.density_unbounded_evidence or _scan_diverges(first.corner_scan):
         findings.append(Finding(MixingVerdict.NOT_PSI_STAR_MIXING, "corner-divergence-scan", False))
     elif first.psi_star_upper < math.inf:
         findings.append(Finding(MixingVerdict.PSI_STAR_MIXING, "bounded-density-grid", False))
-    if not findings:
-        findings.append(Finding(MixingVerdict.UNKNOWN, "no-rule-applies", False))
-    return tuple(findings)
+    return tuple(findings) or (Finding(MixingVerdict.UNKNOWN, "no-rule-applies", False),)
 
 
-def classify(c: Copula, m: int = DEFAULT_RESOLUTION, n_max: int = DEFAULT_N_MAX) -> MixingReport:
-    """Apply the family rules, then grid evidence; report the lag-1 numbers.
+def classify(c: Copula, m: int = DEFAULT_RESOLUTION) -> MixingReport:
+    """The lag-1 report with the findings, ``lag_reports(c, 1, m)[0]``.
 
-    Closed-form rules run first and their verdicts are certified.  When none
-    applies, grid evidence is used: a positive density floor at some lag up to
-    n_max supports PsiPrimeMixing (the rule tag records the lag), a bounded
-    ceiling with level corner ratios supports PsiStarMixing, and either the
-    unbounded-ceiling flag or diverging corner ratios supports
-    NotPsiStarMixing.  Grid findings are marked not certified.  PsiMixing and
-    NotPsiStarMixing are never reported together.
+    Certified verdicts come from the closed-form density envelope; where it
+    leaves the psi-star side open, grid maxima and corner scans add evidence
+    that is marked not certified.
     """
-    report = lag_report(c, 1, m)
-    floors = (report.psi_prime_lower if lag == 1 else psi_prime_lower_bound(c, lag, m)
-              for lag in range(1, n_max + 1))
-    return replace(report, findings=_findings(c, report, floors))
+    return lag_reports(c, 1, m)[0]
 
 
 def lag_reports(c: Copula, n_max: int = DEFAULT_N_MAX, m: int = DEFAULT_RESOLUTION) -> tuple:
-    """One report per lag 1..n_max, each built once, all carrying classify's
-    findings; the grid floor search reads these reports' floors (lags 1..n_max).
-    """
+    """One report per lag 1..n_max, each built once, all carrying the same findings."""
     reports = [lag_report(c, lag, m) for lag in range(1, check_lag(n_max) + 1)]
-    findings = _findings(c, reports[0], (r.psi_prime_lower for r in reports))
+    findings = _findings(c, reports[0])
     return tuple(replace(r, findings=findings) for r in reports)

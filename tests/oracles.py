@@ -46,6 +46,49 @@ def iterated_fold_grid(c, n, xs, ys, order: int = GL_ORDER):
     return left @ middle @ (w[:, None] * right)
 
 
+def iterated_density_grid(density, n, xs, ys, order: int = GL_ORDER):
+    """Lag-n density of an absolutely continuous copula on a grid.
+
+    ``density(u, v)`` is the lag-1 density.  The lag-n density is the kernel
+    product c(x, t1) c(t1, t2) ... c(t_{n-1}, y) integrated over the n-1
+    intermediate states, each integral replaced by the same quadrature rule.
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    if n == 1:
+        return density(xs[:, None], ys[None, :])
+    t, w = gl_unit_rule(order)
+    left = density(xs[:, None], t[None, :]) * w[None, :]
+    kernel = density(t[:, None], t[None, :]) * w[None, :]
+    middle = np.eye(len(t))
+    for _ in range(n - 2):
+        middle = middle @ kernel
+    return left @ middle @ density(t[:, None], ys[None, :])
+
+
+def fgm_density_range(theta: float, n: int):
+    """(inf, sup) of the lag-n FGM density.
+
+    FGM(a) folded with FGM(b) is FGM(ab/3), so the lag-n law is FGM with
+    parameter 3 (theta/3)^n, whose density 1 + t(1-2u)(1-2v) ranges over
+    1 -/+ |t|.
+    """
+    spread = 3.0 * (abs(theta) / 3.0) ** n
+    return 1.0 - spread, 1.0 + spread
+
+
+def mardia_pi_weight(a: float, b: float, n: int):
+    """Weight of independence in the lag-n power of a M + b W + (1-a-b) Pi.
+
+    M and W fold into M or W and Pi absorbs everything, so the singular part
+    of the n-th power keeps weight (a + b)^n; the rest is Pi, the only
+    absolutely continuous part, so this is also its constant density.
+    """
+    return 1.0 - (a + b) ** n
+
+
 def gaussian_diagonal_density(r: float, u):
     """Gaussian(r) copula density at (u, u), from scipy's normal quantile.
 

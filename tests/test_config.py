@@ -135,6 +135,21 @@ def test_parse_rejects_malformed_documents():
         parse_config({**good, "perturbations": [{"kind": "pi"}]})
     with pytest.raises(ConfigError):
         parse_config({**good, "seed": "abc"})
+    # counts are whole numbers: no silent truncation of fractions, bools or strings
+    for field, bad in (("sizes", [100.7, 5000]), ("sizes", [100, "5000"]),
+                       ("replications", 2.9), ("replications", True), ("seed", True),
+                       ("seed", 1.5), ("seed", "7")):
+        with pytest.raises(ConfigError):
+            parse_config({**good, field: bad})
+
+
+def test_parse_accepts_whole_floats_as_counts():
+    good = default_study_config().to_dict()
+    cfg = parse_config({**good, "sizes": [100.0, 5000], "replications": 200.0, "seed": 7.0})
+    assert cfg.sizes == (100, 5000)
+    assert cfg.replications == 200
+    assert cfg.seed == 7
+    assert all(type(x) is int for x in (*cfg.sizes, cfg.replications, cfg.seed))
 
 
 def test_parse_fills_defaults():

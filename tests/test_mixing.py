@@ -13,6 +13,7 @@ from copulamix.copulas import (
     W,
     Amh,
     Convex,
+    Copula,
     Fgm,
     Frechet,
     Gaussian,
@@ -36,6 +37,8 @@ from copulamix.mixing import (
     psi_prime_lower_bound,
     verify_eps_decomposition,
 )
+
+from oracles import amh_density_range, fgm_density_range, iterated_density_grid, mardia_pi_weight
 
 V = MixingVerdict
 FRECHET_FGM = Convex((0.6, 0.4), (Frechet(0.6), Fgm(0.6)))
@@ -72,6 +75,66 @@ def test_fgm_bounds_converge_at_the_stated_rate():
     lo2, hi2 = fgm_psi_bounds(0.6, 5)
     assert (1.0 - lo2) / (1.0 - lo1) == pytest.approx(0.2, abs=1e-12)
     assert (hi2 - 1.0) / (hi1 - 1.0) == pytest.approx(0.2, abs=1e-12)
+
+
+class _Opaque(Copula):
+    """Independence under a type the envelope has no rule for."""
+
+    def __repr__(self):
+        return "_Opaque()"
+
+    def cdf_raw(self, u, v):
+        return u * v
+
+    def density_raw(self, u, v):
+        return np.ones(np.broadcast_shapes(np.shape(u), np.shape(v)))
+
+
+AMH_HALF = amh_density_range(0.5)
+FGM_LAG1 = fgm_density_range(0.6, 1)
+# (copula, n -> its envelope from the closed forms in oracles.py)
+ENVELOPE_ORACLES = [
+    (Fgm(0.6), lambda n: (*fgm_density_range(0.6, n), False)),
+    (Fgm(-1.0), lambda n: (*fgm_density_range(-1.0, n), False)),
+    (Mardia(0.3, 0.2), lambda n: (mardia_pi_weight(0.3, 0.2, n), math.inf, True)),
+    # Frechet(0.6) is Mardia(0.288, 0.072)
+    (Frechet(0.6), lambda n: (mardia_pi_weight(0.288, 0.072, n), math.inf, True)),
+    (M, lambda n: (0.0, math.inf, True)),
+    (PI, lambda n: (1.0, 1.0, False)),
+    (Gaussian(0.0), lambda n: (1.0, 1.0, False)),
+    (Gaussian(0.5), lambda n: (0.0, math.inf, True)),
+    (Amh(0.5), lambda n: (*AMH_HALF, False)),
+    (Amh(-1.0), lambda n: (*amh_density_range(-1.0), False)),
+    (Amh(1.0), lambda n: (0.0, math.inf, False)),
+    (Convex((0.5, 0.5), (Gaussian(0.0), Fgm(0.6))),
+     lambda n: (0.5 + 0.5 * FGM_LAG1[0], 0.5 + 0.5 * FGM_LAG1[1], False)),
+    (FRECHET_FGM,
+     lambda n: (0.6 * mardia_pi_weight(0.288, 0.072, 1) + 0.4 * FGM_LAG1[0], math.inf, True)),
+    (NumericFold(Amh(0.5), Fgm(0.3)),
+     lambda n: (max(AMH_HALF[0], fgm_density_range(0.3, 1)[0]),
+                min(AMH_HALF[1], fgm_density_range(0.3, 1)[1]), False)),
+    (_Opaque(), lambda n: (0.0, math.inf, False)),
+]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("c, oracle", ENVELOPE_ORACLES, ids=[repr(c) for c, _ in ENVELOPE_ORACLES])
+def test_envelope_matches_the_closed_forms_and_holds_on_the_lag_n_grid(c, oracle, n):
+    floor, ceiling, unbounded = mixing._envelope(c, n)
+    want_floor, want_ceiling, want_unbounded = oracle(n)
+    assert floor == pytest.approx(want_floor, rel=1e-12, abs=1e-15)
+    assert ceiling == pytest.approx(want_ceiling, rel=1e-12)
+    assert unbounded is want_unbounded
+    m = 16
+    if c.is_absolutely_continuous:
+        # quadrature folds are too slow at lag 3; the oracle composes kernels instead
+        t = (np.arange(m) + 0.5) / m
+        grid = iterated_density_grid(c.density_raw, n, t, t)
+        lo, hi = float(grid.min()), float(grid.max())
+    else:
+        lo, hi = density_extrema(c, n, m)  # closed-form folds
+    assert floor <= lo + 1e-12
+    assert hi <= ceiling + 1e-12
 
 
 @pytest.mark.parametrize("lag", [0, -1, 2.5, math.nan, math.inf, -math.inf])
@@ -126,11 +189,11 @@ def test_m_pi_combination_floor_is_the_pi_weight_of_its_power():
 
 
 def test_convex_floor_falls_back_to_a_product_term():
-    # the fold component has no density at all, so the bound comes from the
-    # Pi term alone, at its weight to the n-th power
+    # the fold component has no density at all, so the bound is the envelope
+    # floor: the fold's own floor is its Frechet factor's Pi weight 0.64
     hard = NumericFold(Frechet(0.6), Gaussian(0.5))
     c = Convex((0.5, 0.5), (hard, PI))
-    assert psi_prime_lower_bound(c, 1, 32) == pytest.approx(0.5, abs=1e-15)
+    assert psi_prime_lower_bound(c, 1, 32) == pytest.approx(0.5 * 0.64 + 0.5, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -209,17 +272,18 @@ def test_lag_report_flags_gaussian_growth():
 
 
 def test_lag_report_survives_unavailable_densities():
+    # the floor is the envelope's: Frechet(0.6)'s Pi weight bounds the fold
     rep = lag_report(NumericFold(Frechet(0.6), Gaussian(0.5)), 1, 16)
-    assert rep.psi_prime_lower == 0.0
+    assert rep.psi_prime_lower == pytest.approx(0.64, abs=1e-15)
     assert rep.psi_star_upper == math.inf
     assert len(rep.corner_scan) == 7
     assert not rep.complete
     # the lag-3 fold holds AMH folded against Frechet, which has no closed-form
     # reflection, so its corner mass has no quadrature; the report keeps the
-    # floor and leaves the scan empty
+    # envelope floor, 0.6 * 0.64 + 0.4 * 0.5, and leaves the scan empty
     rep = lag_report(FRECHET_AMH, 3, 8)
     assert rep.corner_scan == ()
-    assert rep.psi_prime_lower > 0.0
+    assert rep.psi_prime_lower == pytest.approx(0.584, abs=1e-15)
     assert not rep.complete
     assert lag_report(FRECHET_AMH, 1, 16).complete
     assert lag_report(Gaussian(0.5), 1, 64).complete  # unbounded, yet computed
@@ -245,7 +309,7 @@ def test_unbounded_ladder_reuses_the_lag_grid(monkeypatch, m, built):
 
 def test_an_unavailable_lag_density_is_tried_once(monkeypatch):
     # the lag-2 Convex holds a NumericFold term with no density; the floor then
-    # comes straight from the components' own lag-2 grids
+    # is the closed-form envelope's, with no further grid
     built = []
 
     def counting(c, res):
@@ -254,7 +318,7 @@ def test_an_unavailable_lag_density_is_tried_once(monkeypatch):
 
     monkeypatch.setattr(mixing, "density_grid", counting)
     rep = lag_report(FRECHET_AMH, 2, 16)
-    assert built == ["Convex", "Mardia", "NumericFold"]
+    assert built == ["Convex"]
     assert rep.psi_prime_lower == psi_prime_lower_bound(FRECHET_AMH, 2, 16) > 0.0
 
 
@@ -281,7 +345,7 @@ def test_each_lag_is_folded_once(monkeypatch):
         Convex((0.6, 0.4), (Fgm(0.6), M)),
         Convex((0.5, 0.3, 0.2), (Frechet(0.6), Fgm(0.6), PI)),
     )),
-    # no density at all: the floor comes from the component fallback
+    # no density at all: the floor comes from the envelope
     (Convex((0.5, 0.5), (NumericFold(Frechet(0.6), Gaussian(0.5)), Fgm(0.6))), (1,)),
 ], ids=repr)
 def test_lag_report_floor_is_psi_prime_lower_bound(c, lags):
@@ -314,7 +378,7 @@ def test_independence_is_psi_mixing_certified():
 def test_fgm_is_psi_mixing_by_the_envelope_rule():
     verdicts, report = _verdicts(Fgm(0.6))
     assert verdicts == {V.PSI_MIXING}
-    assert report.findings[0].rule == "fgm-envelope"
+    assert report.findings[0].rule == "density-envelope"
     assert report.findings[0].certified
 
 
@@ -345,10 +409,11 @@ def test_gaussian_is_certified_not_psi_star():
 
 
 def test_amh_has_a_certified_bounded_density_rule():
+    # the density lies in [0.5, 2]: a positive floor and a finite ceiling
     verdicts, report = _verdicts(Amh(0.5))
-    assert verdicts == {V.PSI_STAR_MIXING}
+    assert verdicts == {V.PSI_MIXING}
     assert len(report.findings) == 1
-    assert report.findings[0].rule == "amh-bounded-density"
+    assert report.findings[0].rule == "density-envelope"
     assert report.findings[0].certified
 
 
@@ -373,8 +438,10 @@ def test_mixed_m_perturbation_keeps_floor_and_corner_divergence():
 
 
 def test_quadrature_fold_gets_grid_findings():
-    verdicts, report = _verdicts(NumericFold(Amh(0.5), Amh(0.5)), m=16)
-    assert V.PSI_PRIME_MIXING in verdicts
+    # neither AMH(1) factor has a floor or a ceiling, so the envelope decides
+    # nothing and the psi-star side rests on the corner scan
+    verdicts, report = _verdicts(NumericFold(Amh(1.0), Amh(1.0)), m=16)
+    assert verdicts == {V.NOT_PSI_STAR_MIXING}
     assert not any(f.certified for f in report.findings)
 
 
@@ -404,33 +471,31 @@ def test_classifier_invariants(c):
     assert all(ratio >= 0.0 for _, ratio in report.corner_scan)
 
 
+ENVELOPE = (V.PSI_MIXING, "density-envelope", True)
+FLOOR = (V.PSI_PRIME_MIXING, "density-floor", True)
+UNBOUNDED = (V.NOT_PSI_STAR_MIXING, "unbounded-at-every-lag", True)
+
+
 @pytest.mark.parametrize("c, expected", [
-    (PI, [(V.PSI_MIXING, "independence-product", True)]),
-    (M, [(V.NOT_PSI_STAR_MIXING, "singular-corner-mass", True)]),
-    (W, [(V.NOT_PSI_STAR_MIXING, "singular-corner-mass", True)]),
-    (Mardia(0.3, 0.2), [(V.PSI_PRIME_MIXING, "mixture-density-floor", True),
-                        (V.NOT_PSI_STAR_MIXING, "singular-corner-mass", True)]),
-    (Frechet(1.0), [(V.NOT_PSI_STAR_MIXING, "singular-corner-mass", True)]),
-    (Frechet(-1.0), [(V.NOT_PSI_STAR_MIXING, "singular-corner-mass", True)]),
-    (Fgm(0.0), [(V.PSI_MIXING, "independence-product", True)]),
-    (Gaussian(0.0), [(V.PSI_MIXING, "independence-product", True)]),
-    (Amh(0.0), [(V.PSI_MIXING, "independence-product", True)]),
-    (Amh(1.0), [(V.PSI_PRIME_MIXING, "density-floor-grid@n=1", False),
-                (V.NOT_PSI_STAR_MIXING, "corner-divergence-scan", False)]),
-    (Amh(-1.0), [(V.PSI_STAR_MIXING, "amh-bounded-density", True)]),
-    (Convex((0.6, 0.4), (Fgm(0.6), M)), [(V.PSI_PRIME_MIXING, "mixture-density-floor", True),
-                                         (V.NOT_PSI_STAR_MIXING, "convex-propagation", True)]),
-    (FRECHET_FGM, [(V.PSI_PRIME_MIXING, "mixture-density-floor", True),
-                   (V.NOT_PSI_STAR_MIXING, "convex-propagation", True)]),
-    (Convex((0.5, 0.5), (M, PI)), [(V.PSI_PRIME_MIXING, "mixture-density-floor", True),
-                                   (V.NOT_PSI_STAR_MIXING, "convex-propagation", True)]),
-    (Convex((0.5, 0.5), (Fgm(0.6), PI)), [(V.PSI_MIXING, "convex-psi-small", True)]),
-    (Convex((0.6, 0.4), (Fgm(0.6), W)), [(V.PSI_PRIME_MIXING, "mixture-density-floor", True),
-                                         (V.NOT_PSI_STAR_MIXING, "convex-propagation", True)]),
-    (Convex((0.5, 0.5), (Gaussian(0.5), PI)), [(V.PSI_PRIME_MIXING, "mixture-density-floor", True),
-                                               (V.NOT_PSI_STAR_MIXING, "convex-propagation", True)]),
-    (Convex((0.5, 0.5), (Gaussian(0.0), Fgm(0.6))),
-     [(V.PSI_PRIME_MIXING, "mixture-density-floor", True)]),
+    (PI, [ENVELOPE]),
+    (M, [UNBOUNDED]),
+    (W, [UNBOUNDED]),
+    (Mardia(0.3, 0.2), [FLOOR, UNBOUNDED]),
+    (Frechet(1.0), [UNBOUNDED]),
+    (Frechet(-1.0), [UNBOUNDED]),
+    (Fgm(0.0), [ENVELOPE]),
+    (Gaussian(0.0), [ENVELOPE]),
+    (Amh(0.0), [ENVELOPE]),
+    (Amh(1.0), [(V.NOT_PSI_STAR_MIXING, "corner-divergence-scan", False)]),
+    (Amh(-1.0), [(V.PSI_STAR_MIXING, "density-ceiling", True)]),
+    (Convex((0.6, 0.4), (Fgm(0.6), M)), [FLOOR, UNBOUNDED]),
+    (FRECHET_FGM, [FLOOR, UNBOUNDED]),
+    (Convex((0.5, 0.5), (M, PI)), [FLOOR, UNBOUNDED]),
+    (Convex((0.5, 0.5), (Fgm(0.6), PI)), [ENVELOPE]),
+    (Convex((0.6, 0.4), (Fgm(0.6), W)), [FLOOR, UNBOUNDED]),
+    (Convex((0.5, 0.5), (Gaussian(0.5), PI)), [FLOOR, UNBOUNDED]),
+    (Convex((0.5, 0.5), (Gaussian(0.0), Fgm(0.6))), [ENVELOPE]),
+    (NumericFold(Amh(0.5), Amh(0.5)), [ENVELOPE]),
 ], ids=repr)
 def test_classify_findings_are_pinned(c, expected):
     assert [(f.verdict, f.rule, f.certified) for f in classify(c, 8).findings] == expected
@@ -440,4 +505,4 @@ def test_a_rounding_residue_is_no_density_floor():
     # 1 - 0.7 - 0.3 is 5.6e-17 in floating point, yet Mardia(0.7, 0.3) has no
     # Pi part, so a mixture of it with W has no absolutely continuous part
     c = Convex((0.5, 0.5), (Mardia(0.7, 0.3), W))
-    assert [f.rule for f in classify(c, 8).findings] == ["convex-propagation"]
+    assert [f.rule for f in classify(c, 8).findings] == ["unbounded-at-every-lag"]

@@ -125,7 +125,7 @@ def test_mixing_report_set_is_incomplete_when_a_lag_lacks_its_density():
 @pytest.mark.parametrize("n_max, attempts", [(3, 3), (1, 1)])
 def test_mixing_report_set_tries_each_lag_density_once(monkeypatch, n_max, attempts):
     # the fold has no density at any lag: one attempt per lag, none repeated
-    # by the floor search, which reads the lag reports
+    # for the floor, which then comes from the closed-form envelope
     built = []
 
     def counting(c, res):
