@@ -2,11 +2,12 @@
 
 A chain starts from a uniform draw and advances by inverting the conditional
 CDF of the driving copula: given the previous state u and a fresh uniform w,
-the next state is the root v of ``conditional_cdf(c, u, v) = w``.  Families
-with a singular component (M, W, Mardia mixtures) instead take the explicit
-mixture route: copy the state, flip it, or draw fresh, with the branch picked
-by a dedicated selector stream.  Convex combinations first pick a component
-with its weight and then delegate.
+the next state is the root v of ``conditional_cdf(c, u, v) = w``, in closed
+form for the Gaussian, FGM and AMH families and by bisection for numeric
+folds.  Families with a singular component (M, W, Mardia mixtures) instead
+take the explicit mixture route: copy the state, flip it, or draw fresh, with
+the branch picked by a dedicated selector stream.  Convex combinations first
+pick a component with its weight and then delegate.
 
 All chains are stationary from the first step, so no burn-in is performed.
 """
@@ -23,6 +24,7 @@ from .copulas import (
     PI,
     M,
     W,
+    Amh,
     Comonotone,
     Convex,
     Copula,
@@ -149,6 +151,27 @@ def _transition(c: Copula, u_prev: np.ndarray, w: np.ndarray, sel) -> np.ndarray
         a = c.theta * (1.0 - 2.0 * u_prev)
         b = 1.0 + a
         root = 2.0 * w / (b + np.sqrt(np.maximum(b * b - 4.0 * a * w, 0.0)))
+        return np.clip(root, _U_LO, _U_HI)
+    if isinstance(c, Amh):
+        # the root in [0, 1] of a v^2 + b v - w j^2 = 0 with j = 1 - k,
+        # k = theta (1 - u), a = theta - w k^2 and b = (1 - theta) - 2 w k j.
+        # j is formed as (1 - theta) + theta u, and the discriminant
+        # b^2 + 4 a w j^2 = (1 - theta)^2 + 4 theta u w j
+        #                 = (1 - theta + 2 theta u)^2 - 4 theta u j (1 - w)
+        # is summed from terms of one sign, so no step cancels
+        th = c.theta
+        j = (1.0 - th) + th * u_prev
+        b = (1.0 - th) - 2.0 * w * (th * (1.0 - u_prev)) * j
+        if th >= 0.0:
+            disc = (1.0 - th) ** 2 + 4.0 * th * u_prev * w * j
+        else:
+            s = (1.0 + th) - 2.0 * th * (1.0 - u_prev)
+            disc = s * s - 4.0 * th * u_prev * j * (1.0 - w)
+        sq = np.sqrt(disc)
+        root = 2.0 * w * j * j / (b + sq)
+        if th > 0.0:  # only here can b be negative: take the other root form there
+            a = th * ((1.0 - th) + th * ((1.0 - w) + w * u_prev * (2.0 - u_prev)))
+            root = np.where(b < 0.0, (sq - b) / (2.0 * a), root)
         return np.clip(root, _U_LO, _U_HI)
     if isinstance(c, Mardia):
         s = sel[:, 0]

@@ -31,3 +31,7 @@ class DegenerateSampleError(CopulamixError, ZeroDivisionError):
 
 class ConfigError(CopulamixError, ValueError):
     """Experiment configuration is malformed or inconsistent."""
+
+
+class ConvergenceWarning(RuntimeWarning):
+    """A numeric routine stopped at its iteration cap with components unsolved."""

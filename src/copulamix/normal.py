@@ -58,24 +58,20 @@ def _rational_tail(q):
 def norm_ppf(p):
     """Quantile of the standard normal distribution for p in (0, 1)."""
     arr = np.asarray(p, dtype=float)
-    if arr.size and (np.any(arr <= 0.0) | np.any(arr >= 1.0)):
+    # min/max comparisons are False on NaN, so NaN is rejected too
+    if arr.size and not (arr.min() > 0.0 and arr.max() < 1.0):
         raise DomainError("norm_ppf requires p strictly inside (0, 1)")
     scalar = arr.ndim == 0
-    q = np.atleast_1d(arr).copy()
+    q = np.atleast_1d(arr)
 
     # Work in the lower half only: 1 - q is exact for q >= 0.5, and the
     # Newton residual norm_cdf(x) - q keeps full relative accuracy there,
-    # which it would lose to cancellation near q = 1.
+    # which it would lose to cancellation near q = 1.  Both rational branches
+    # run on every element and np.where picks one, which costs less than
+    # boolean indexing and leaves each element's arithmetic unchanged.
     upper = q > 0.5
-    q[upper] = 1.0 - q[upper]
-
-    x = np.empty_like(q)
-    low = q < _P_LOW
-    mid = ~low
-    if np.any(mid):
-        x[mid] = _rational_central(q[mid] - 0.5)
-    if np.any(low):
-        x[low] = _rational_tail(np.sqrt(-2.0 * np.log(q[low])))
+    q = np.where(upper, 1.0 - q, q)
+    x = np.where(q < _P_LOW, _rational_tail(np.sqrt(-2.0 * np.log(q))), _rational_central(q - 0.5))
 
     # One Newton step against the erfc-backed CDF. The pdf never underflows
     # on the supported range (|x| stays below ~8.3 for p >= 1e-15).
@@ -83,6 +79,6 @@ def norm_ppf(p):
     err = norm_cdf(x) - q
     step = np.where(pdf > 0.0, err / np.where(pdf > 0.0, pdf, 1.0), 0.0)
     x = x - step
-    x[upper] = -x[upper]
+    x = np.where(upper, -x, x)  # negating after the step keeps the sign of zero
 
     return float(x[0]) if scalar else x.reshape(arr.shape)

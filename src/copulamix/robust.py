@@ -27,6 +27,11 @@ from .errors import DegenerateSampleError, DomainError
 from .normal import norm_ppf
 from .rng import derive_seed
 
+# Memory for one batch of replicate_robust_means: three float64 values per row
+# and step (path, state, selector).  It holds 279 rows at n = 20000, so every
+# cell of the shipped study is one batch.
+BATCH_BYTES = 128 * 2 ** 20
+
 
 @dataclass(frozen=True)
 class RobustMeanResult:
@@ -131,12 +136,13 @@ def replicate_robust_means(
 
     Replication r simulates the chain with seed derive_seed(seed, r) and draws
     its auxiliary normal sample from the same derived seed's dedicated stream,
-    so results do not depend on scheduling or batching.
+    so results do not depend on scheduling or batching.  Chains are simulated
+    in batches of as many rows as BATCH_BYTES holds.
     """
     if reps < 1:
         raise DomainError("need at least one replication")
     out = []
-    batch = max(1, min(reps, 512 * 1024 // max(n, 1) + 1))
+    batch = max(1, min(reps, BATCH_BYTES // (3 * 8 * max(n, 1))))
     for start in range(0, reps, batch):
         seeds = [derive_seed(seed, r) for r in range(start, min(start + batch, reps))]
         umat = uniform_chain_matrix(c, n, seeds)

@@ -7,6 +7,8 @@ evaluations of the base copula.  The closed-form densities below call nothing
 from the package at all; the normal quantile comes from scipy.
 """
 
+from decimal import Decimal, localcontext
+
 import numpy as np
 import scipy.stats
 
@@ -117,3 +119,24 @@ def amh_density_range(theta: float):
     inf = 1 - |theta| and sup = max(1 - theta, 1/(1 - theta)).
     """
     return 1.0 - abs(theta), max(1.0 - theta, 1.0 / (1.0 - theta))
+
+
+def amh_transition_root(theta: float, u: float, w: float) -> float:
+    """The v in [0, 1] with AMH conditional CDF C_u(v) = w, in decimal arithmetic.
+
+    C_u(v) = v (1 - t(1-v)) / (1 - t(1-u)(1-v))^2 = w is the quadratic
+    (t - w k^2) v^2 + ((1-t) - 2 w k (1-k)) v - w (1-k)^2 = 0 with
+    k = t(1-u).  Every input converts to Decimal exactly, and at 50 digits
+    the quadratic formula leaves a rounding error far below a double's, so
+    the result is the correctly rounded root up to a final ulp.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        t, u, w = Decimal(theta), Decimal(u), Decimal(w)
+        k = t * (1 - u)
+        a = t - w * k * k
+        b = (1 - t) - 2 * w * k * (1 - k)
+        c = w * (1 - k) * (1 - k)
+        if a == 0:
+            return float(c / b)
+        return float((-b + (b * b + 4 * a * c).sqrt()) / (2 * a))

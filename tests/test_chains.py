@@ -30,6 +30,7 @@ from copulamix.copulas import (
     cdf,
 )
 from copulamix.errors import DomainError, UnsupportedCopulaError
+from oracles import amh_transition_root
 
 SAMPLEABLE = (
     PI,
@@ -40,6 +41,7 @@ SAMPLEABLE = (
     Frechet(0.6),
     Gaussian(0.5),
     Amh(-1.0),
+    Amh(0.5),
     Convex((0.6, 0.4), (Fgm(0.6), M)),
     Convex((0.5, 0.3, 0.2), (Frechet(0.6), Fgm(0.6), PI)),
 )
@@ -60,13 +62,13 @@ def test_chains_are_deterministic_and_stay_open(c):
 
 
 def test_batch_rows_match_single_chains_bitwise():
-    c = Convex((0.6, 0.4), (Fgm(0.6), M))
     seeds = [5, 6, 7]
-    mat = uniform_chain_matrix(c, 50, seeds)
-    assert mat.shape == (3, 50)
-    for row, seed in enumerate(seeds):
-        single = sample_chain(c, 50, seed)
-        assert np.array_equal(mat[row], single.uniforms)
+    for c in SAMPLEABLE:
+        mat = uniform_chain_matrix(c, 50, seeds)
+        assert mat.shape == (3, 50)
+        for row, seed in enumerate(seeds):
+            single = sample_chain(c, 50, seed)
+            assert mat[row].tobytes() == single.uniforms.tobytes(), (c, seed)
 
 
 def test_pi_chain_is_iid_uniform():
@@ -140,6 +142,27 @@ def test_fgm_transition_solves_the_conditional_cdf():
         c = Fgm(theta)
         v = _transition(c, uu, ww, None)
         assert np.max(np.abs(c.cond_u_raw(uu, v) - ww)) <= 1e-12
+
+
+@pytest.mark.parametrize("theta", (-1.0, -0.5, 0.0, 0.3, 0.5, 0.9, 1.0))
+def test_amh_transition_matches_the_decimal_root(theta):
+    # the closed-form root against a 50-digit reference, near both ends of
+    # the state range, where j = 1 - theta (1 - u) or the discriminant
+    # would lose digits if formed naively
+    grid = np.array([1e-7, 3e-7, 1e-3, 0.1, 0.5, 0.9, 1.0 - 1e-3, 1.0 - 3e-7, 1.0 - 1e-7])
+    uu, ww = (a.ravel() for a in np.meshgrid(grid, grid))
+    v = _transition(Amh(theta), uu, ww, None)
+    ref = np.array([amh_transition_root(theta, u, w) for u, w in zip(uu, ww)])
+    assert np.max(np.abs(v - ref) / ref) <= 1e-13
+
+
+def test_amh_joint_frequency_matches_the_cdf():
+    c = Amh(0.5)
+    u = sample_chain(c, 30_000, 23).uniforms
+    hit = np.mean((u[:-1] <= 0.3) & (u[1:] <= 0.3))
+    assert hit == pytest.approx(cdf(c, 0.3, 0.3), abs=0.01)
+    d = scipy.stats.kstest(u, "uniform").statistic
+    assert d < 0.015
 
 
 def test_quadrature_fold_chain_stays_uniform():

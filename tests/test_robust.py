@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from copulamix import robust
 from copulamix import (
     PI,
     DegenerateSampleError,
@@ -179,18 +180,44 @@ def test_replications_are_deterministic():
     assert a != c
 
 
-def test_replication_results_do_not_depend_on_batching():
-    # n=100 puts the batch cap at 5243 rows, so 5246 replications span two
-    # batches; replications on either side of the boundary must equal their
-    # standalone single-seed reconstruction
-    reps, n, seed = 5246, 100, 424242
+def test_replication_results_do_not_depend_on_batching(monkeypatch):
+    # a budget of 10 rows at n=100 splits 32 replications into batches of
+    # 10, 10, 10 and 2; replications on either side of every boundary must
+    # equal their standalone single-seed reconstruction
+    reps, n, seed = 32, 100, 424242
+    monkeypatch.setattr(robust, "BATCH_BYTES", 10 * 3 * 8 * n)
+    sizes = []
+    original = robust.uniform_chain_matrix
+
+    def recording(c, n, seeds):
+        sizes.append(len(seeds))
+        return original(c, n, seeds)
+
+    monkeypatch.setattr(robust, "uniform_chain_matrix", recording)
     results = replicate_robust_means(PI, Uniform01(), n, reps, 0.95, seed)
     assert len(results) == reps
-    for r in (0, 5242, 5243, 5245):
+    assert sizes == [10, 10, 10, 2]
+    starts = np.cumsum([0] + sizes[:-1])
+    rows = sorted({r for s in starts for r in (s - 1, s) if r >= 0} | {reps - 1})
+    for r in rows:
         s = derive_seed(seed, r)
-        y = uniform_chain_matrix(PI, n, [s])[0]
+        y = original(PI, n, [s])[0]
         x = sample_iid_normal(n, s)
         assert results[r] == robust_mean(y, x, 0.95)
+
+
+def test_shipped_study_cell_is_one_batch(monkeypatch):
+    # the shipped config's largest cell: 200 replications of n=20000
+    class FirstBatch(Exception):
+        pass
+
+    def first_batch(c, n, seeds):
+        raise FirstBatch(len(seeds))
+
+    monkeypatch.setattr(robust, "uniform_chain_matrix", first_batch)
+    with pytest.raises(FirstBatch) as info:
+        replicate_robust_means(Fgm(0.6), Uniform01(), 20_000, 200, 0.95, seed=1)
+    assert info.value.args == (200,)
 
 
 def test_replication_count_validation():
