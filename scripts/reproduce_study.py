@@ -8,9 +8,10 @@ Running this script is equivalent to:
     copulamix mixing NAME --config configs/table4.json   (for every copula)
 
 Everything is seeded from the config, so two runs produce byte-identical
-files.  The table takes about 30 seconds on one worker (measured on a
-2-vCPU Intel Xeon virtual machine with Python 3.11); pass --workers to spread
-the cells over processes.  The figures and mixing reports take under a second.
+files.  The table takes about 15 seconds on one worker (13 s measured on a
+shared 2-vCPU Intel Xeon virtual machine with Python 3.11); pass --workers to
+spread the cells over processes.  The figures and mixing reports take under a
+second.
 """
 
 import argparse

@@ -2,12 +2,12 @@
 
 A chain starts from a uniform draw and advances by inverting the conditional
 CDF of the driving copula: given the previous state u and a fresh uniform w,
-the next state is the root v of ``conditional_cdf(c, u, v) = w``, in closed
-form for the Gaussian, FGM and AMH families and by bisection for numeric
-folds.  Families with a singular component (M, W, Mardia mixtures) instead
-take the explicit mixture route: copy the state, flip it, or draw fresh, with
-the branch picked by a dedicated selector stream.  Convex combinations first
-pick a component with its weight and then delegate.
+the next state is the root v of ``conditional_cdf(c, u, v) = w``.  Each leaf
+family owns that root as ``cond_u_inv_raw``: closed forms for Pi, M, W,
+Gaussian, FGM and AMH, bisection for numeric folds.  A chain plans its step
+once.  Convex combinations and Mardia mixtures (a fresh draw, a copy or a flip
+of the state) share one mixture rule: a dedicated selector stream gives one
+draw per step, every part steps, and the draw picks one part's result.
 
 All chains are stationary from the first step, so no burn-in is performed.
 """
@@ -20,30 +20,10 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .copulas import (
-    PI,
-    M,
-    W,
-    Amh,
-    Comonotone,
-    Convex,
-    Copula,
-    Countermonotone,
-    Fgm,
-    Gaussian,
-    Independence,
-    Mardia,
-    NumericFold,
-)
+from .copulas import PI, M, W, Convex, Copula, Mardia, NumericFold
 from .errors import DomainError, UnsupportedCopulaError
-from .normal import norm_cdf, norm_ppf
+from .normal import norm_ppf
 from .rng import CHAIN_STREAM, NORMAL_STREAM, SELECTOR_STREAM, open_uniform, stream
-from .rootfind import invert_increasing
-
-# hard clamp keeping every state strictly inside (0, 1); both endpoints are
-# exactly representable and match the extremes of the uniform lattice
-_U_LO = 0.5 ** 53
-_U_HI = 1.0 - 0.5 ** 53
 
 
 @dataclass(frozen=True)
@@ -113,84 +93,40 @@ class ChainSample:
         return int(self.uniforms.size)
 
 
-def _selector_need(c: Copula) -> int:
-    """Selector draws consumed per transition step."""
+def _plan(c: Copula) -> tuple:
+    """(selector draws per step, plan) for chains of ``c``: a leaf's plan is its
+    conditional quantile, a mixture's is (cuts, plans of its parts)."""
     if isinstance(c, Convex):
-        return 1 + max(_selector_need(comp) for comp in c.components)
-    if isinstance(c, Mardia):
-        return 0 if c in (PI, M, W) else 1  # their transitions below need no branch
-    return 0
-
-
-def _check_sampleable(c: Copula) -> None:
-    """Reject copulas whose transition cannot be realised."""
-    if isinstance(c, Convex):
-        for comp in c.components:
-            _check_sampleable(comp)
+        cuts, parts = np.cumsum(c.weights)[:-1], c.components
+    elif isinstance(c, Mardia) and c not in (PI, M, W):
+        # a fresh draw below 1 - a - b, a flip from 1 - b on, a copy in between
+        cuts, parts = (1.0 - c.a - c.b, 1.0 - c.b), (PI, M, W)
     elif isinstance(c, NumericFold) and not c.left.is_absolutely_continuous:
         raise UnsupportedCopulaError(
             "cannot sample a chain: the fold's left factor has a singular part, "
             "so the conditional CDF in the first argument is unavailable"
         )
+    else:
+        return 0, c.cond_u_inv_raw
+    plans = [_plan(p) for p in parts]
+    return 1 + max(k for k, _ in plans), (cuts, [plan for _, plan in plans])
 
 
-def _transition(c: Copula, u_prev: np.ndarray, w: np.ndarray, sel) -> np.ndarray:
-    """Advance every row one step: u_prev, w -> next state."""
-    if isinstance(c, Independence):
-        return w.copy()
-    if isinstance(c, Comonotone):
-        return u_prev.copy()
-    if isinstance(c, Countermonotone):
-        return 1.0 - u_prev
-    if isinstance(c, Gaussian):
-        z = c.r * norm_ppf(u_prev) + math.sqrt(1.0 - c.r * c.r) * norm_ppf(w)
-        return np.clip(norm_cdf(z), _U_LO, _U_HI)
-    if isinstance(c, Fgm):
-        # the root in [0, 1] of a v^2 - (1 + a) v + w = 0, in the form that
-        # never divides by a; a discriminant that rounds below zero counts as 0
-        a = c.theta * (1.0 - 2.0 * u_prev)
-        b = 1.0 + a
-        root = 2.0 * w / (b + np.sqrt(np.maximum(b * b - 4.0 * a * w, 0.0)))
-        return np.clip(root, _U_LO, _U_HI)
-    if isinstance(c, Amh):
-        # the root in [0, 1] of a v^2 + b v - w j^2 = 0 with j = 1 - k,
-        # k = theta (1 - u), a = theta - w k^2 and b = (1 - theta) - 2 w k j.
-        # j is formed as (1 - theta) + theta u, and the discriminant
-        # b^2 + 4 a w j^2 = (1 - theta)^2 + 4 theta u w j
-        #                 = (1 - theta + 2 theta u)^2 - 4 theta u j (1 - w)
-        # is summed from terms of one sign, so no step cancels
-        th = c.theta
-        j = (1.0 - th) + th * u_prev
-        b = (1.0 - th) - 2.0 * w * (th * (1.0 - u_prev)) * j
-        if th >= 0.0:
-            disc = (1.0 - th) ** 2 + 4.0 * th * u_prev * w * j
-        else:
-            s = (1.0 + th) - 2.0 * th * (1.0 - u_prev)
-            disc = s * s - 4.0 * th * u_prev * j * (1.0 - w)
-        sq = np.sqrt(disc)
-        root = 2.0 * w * j * j / (b + sq)
-        if th > 0.0:  # only here can b be negative: take the other root form there
-            a = th * ((1.0 - th) + th * ((1.0 - w) + w * u_prev * (2.0 - u_prev)))
-            root = np.where(b < 0.0, (sq - b) / (2.0 * a), root)
-        return np.clip(root, _U_LO, _U_HI)
-    if isinstance(c, Mardia):
-        s = sel[:, 0]
-        fresh = s < 1.0 - c.a - c.b
-        flip = s >= 1.0 - c.b
-        return np.where(fresh, w, np.where(flip, 1.0 - u_prev, u_prev))
-    if isinstance(c, Convex):
-        s = sel[:, 0]
-        cuts = np.cumsum(c.weights)
-        choice = np.minimum(np.searchsorted(cuts, s, side="right"), len(c.weights) - 1)
-        rest = sel[:, 1:]
-        out = np.empty_like(w)
-        for j, comp in enumerate(c.components):
-            mask = choice == j
-            if mask.any():
-                out[mask] = _transition(comp, u_prev[mask], w[mask], rest[mask])
-        return out
-    root = invert_increasing(lambda v: c.cond_u_raw(u_prev, v), w)
-    return np.clip(root, _U_LO, _U_HI)
+def _step(plan, u_prev: np.ndarray, w: np.ndarray, sel) -> np.ndarray:
+    """Advance every row one step: u_prev, w -> next state.
+
+    A mixture steps every part on every row with the selector columns after
+    its own.  Each row keeps part j for the last cut j - 1 its draw reaches;
+    the cuts never decrease, so that is the part the draw falls in.
+    """
+    if callable(plan):
+        return plan(u_prev, w)
+    cuts, parts = plan
+    s, inner = sel[:, 0], sel[:, 1:]
+    out = _step(parts[0], u_prev, w, inner)
+    for cut, part in zip(cuts, parts[1:]):
+        out = np.where(s >= cut, _step(part, u_prev, w, inner), out)
+    return out
 
 
 def uniform_chain_matrix(c: Copula, n: int, seeds: Sequence[int]) -> np.ndarray:
@@ -201,23 +137,20 @@ def uniform_chain_matrix(c: Copula, n: int, seeds: Sequence[int]) -> np.ndarray:
     """
     if n < 1:
         raise DomainError("chain length must be at least 1")
-    _check_sampleable(c)
+    k, plan = _plan(c)
     seeds = [int(s) for s in seeds]
     rows = len(seeds)
     path = np.empty((rows, n))
     for i, s in enumerate(seeds):
         path[i] = open_uniform(stream(s, CHAIN_STREAM), n)
-    k = _selector_need(c)
-    sel = None
+    sel = np.empty((rows, n - 1, k))
     if k:
-        sel = np.empty((rows, n - 1, k))
         for i, s in enumerate(seeds):
             sel[i] = open_uniform(stream(s, SELECTOR_STREAM), (n - 1) * k).reshape(n - 1, k)
     u = np.empty((rows, n))
     u[:, 0] = path[:, 0]
     for t in range(1, n):
-        st = sel[:, t - 1, :] if sel is not None else None
-        u[:, t] = _transition(c, u[:, t - 1], path[:, t], st)
+        u[:, t] = _step(plan, u[:, t - 1], path[:, t], sel[:, t - 1])
     return u
 
 

@@ -43,12 +43,18 @@ from .errors import (
 )
 from .normal import norm_cdf, norm_ppf
 from .quadrature import unit_rule
+from .rootfind import invert_increasing
 
 MAX_NUMERIC_FOLD_DEPTH = 8
 WEIGHT_TOL = 1e-12
 GAUSS_EDGE = 1e-15
 
 _CHUNK_BUDGET = 1 << 21  # max elements * quadrature nodes held at once
+
+# hard clamp keeping every chain state strictly inside (0, 1); both endpoints
+# are exactly representable and match the extremes of the uniform lattice
+_U_LO = 0.5 ** 53
+_U_HI = 1.0 - 0.5 ** 53
 
 
 def _prep(u, v):
@@ -87,6 +93,15 @@ class Copula:
         """d/dv C(u, v); the leaf families are exchangeable, so it is d/du C(v, u)."""
         return self.cond_u_raw(v, u)
 
+    def cond_u_inv_raw(self, u, w):
+        """The v with cond_u_raw(u, v) = w: the next chain state after u for a uniform w.
+
+        The base rule bisects ``cond_u_raw`` and clips v into [2^-53, 1 - 2^-53];
+        families with a closed-form inverse override it.
+        """
+        root = invert_increasing(lambda v: self.cond_u_raw(u, v), w)
+        return np.clip(root, _U_LO, _U_HI)
+
     # -- structure --
 
     @property
@@ -122,6 +137,14 @@ class Fgm(Copula):
 
     def cond_u_raw(self, u, v):
         return v + self.theta * (1.0 - 2.0 * u) * v * (1.0 - v)
+
+    def cond_u_inv_raw(self, u, w):
+        # the root in [0, 1] of a v^2 - (1 + a) v + w = 0, in the form that
+        # never divides by a; a discriminant that rounds below zero counts as 0
+        a = self.theta * (1.0 - 2.0 * u)
+        b = 1.0 + a
+        root = 2.0 * w / (b + np.sqrt(np.maximum(b * b - 4.0 * a * w, 0.0)))
+        return np.clip(root, _U_LO, _U_HI)
 
 
 @dataclass(frozen=True)
@@ -198,17 +221,26 @@ class Independence(_MardiaCorner):
 
     _ab = (0.0, 0.0)
 
+    def cond_u_inv_raw(self, u, w):
+        return w.copy()  # a fresh draw
+
 
 class Comonotone(_MardiaCorner):
     """Upper Frechet-Hoeffding bound M(u, v) = min(u, v): Mardia at (1, 0)."""
 
     _ab = (1.0, 0.0)
 
+    def cond_u_inv_raw(self, u, w):
+        return u.copy()  # the state repeats
+
 
 class Countermonotone(_MardiaCorner):
     """Lower Frechet-Hoeffding bound W(u, v) = max(u + v - 1, 0): Mardia at (0, 1)."""
 
     _ab = (0.0, 1.0)
+
+    def cond_u_inv_raw(self, u, w):
+        return 1.0 - u  # the state flips
 
 
 @dataclass(frozen=True)
@@ -277,6 +309,10 @@ class Gaussian(Copula):
         shape = np.broadcast_shapes(np.shape(u), np.shape(v))
         return out.reshape(shape) if shape else out
 
+    def cond_u_inv_raw(self, u, w):
+        z = self.r * norm_ppf(u) + math.sqrt(1.0 - self.r * self.r) * norm_ppf(w)
+        return np.clip(norm_cdf(z), _U_LO, _U_HI)
+
 
 @dataclass(frozen=True)
 class Amh(Copula):
@@ -306,6 +342,28 @@ class Amh(Copula):
 
     def cond_u_raw(self, u, v):
         return v * (1.0 - self.theta * (1.0 - v)) / self._den(u, v) ** 2
+
+    def cond_u_inv_raw(self, u, w):
+        # the root in [0, 1] of a v^2 + b v - w j^2 = 0 with j = 1 - k,
+        # k = theta (1 - u), a = theta - w k^2 and b = (1 - theta) - 2 w k j.
+        # j is formed as (1 - theta) + theta u, and the discriminant
+        # b^2 + 4 a w j^2 = (1 - theta)^2 + 4 theta u w j
+        #                 = (1 - theta + 2 theta u)^2 - 4 theta u j (1 - w)
+        # is summed from terms of one sign, so no step cancels
+        th = self.theta
+        j = (1.0 - th) + th * u
+        b = (1.0 - th) - 2.0 * w * (th * (1.0 - u)) * j
+        if th >= 0.0:
+            disc = (1.0 - th) ** 2 + 4.0 * th * u * w * j
+        else:
+            s = (1.0 + th) - 2.0 * th * (1.0 - u)
+            disc = s * s - 4.0 * th * u * j * (1.0 - w)
+        sq = np.sqrt(disc)
+        root = 2.0 * w * j * j / (b + sq)
+        if th > 0.0:  # only here can b be negative: take the other root form there
+            a = th * ((1.0 - th) + th * ((1.0 - w) + w * u * (2.0 - u)))
+            root = np.where(b < 0.0, (sq - b) / (2.0 * a), root)
+        return np.clip(root, _U_LO, _U_HI)
 
 
 @dataclass(frozen=True)

@@ -301,7 +301,10 @@ def lag_report(
     eps_list: Sequence[float] = DEFAULT_EPS_LADDER,
 ) -> MixingReport:
     """The lag-n numbers as a report without findings; ``lag_reports`` attaches them."""
-    cn = n_fold(c, n)
+    try:
+        cn = n_fold(c, n)
+    except FoldDepthError:  # no lag-n law to evaluate: keep the envelope floor alone
+        return MixingReport(int(n), 0.0, math.inf, False, float(_envelope(c, n)[0]), math.inf, ())
     try:
         lo, hi = _grid_extrema(cn, m)
         psi_prime = min(lo, 1.0)  # psi_prime_lower_bound of this very grid

@@ -27,9 +27,9 @@ from .errors import DegenerateSampleError, DomainError
 from .normal import norm_ppf
 from .rng import derive_seed
 
-# Memory for one batch of replicate_robust_means: three float64 values per row
-# and step (path, state, selector).  It holds 279 rows at n = 20000, so every
-# cell of the shipped study is one batch.
+# Memory for one batch of chains: three float64 values per row and step (path,
+# state, selector).  It holds 279 rows at n = 20000, so every cell of the
+# shipped study is one batch.
 BATCH_BYTES = 128 * 2 ** 20
 
 
@@ -136,21 +136,25 @@ def replicate_robust_means(
 
     Replication r simulates the chain with seed derive_seed(seed, r) and draws
     its auxiliary normal sample from the same derived seed's dedicated stream,
-    so results do not depend on scheduling or batching.  Chains are simulated
-    in batches of as many rows as BATCH_BYTES holds.
+    so results do not depend on scheduling or batching.
     """
     if reps < 1:
         raise DomainError("need at least one replication")
     out = []
-    batch = max(1, min(reps, BATCH_BYTES // (3 * 8 * max(n, 1))))
-    for start in range(0, reps, batch):
-        seeds = [derive_seed(seed, r) for r in range(start, min(start + batch, reps))]
-        umat = uniform_chain_matrix(c, n, seeds)
+    for seeds, umat in _chain_batches(c, n, reps, seed):
         for row, s in enumerate(seeds):
             y = m.quantile(umat[row])
             x = sample_iid_normal(n, s)
             out.append(robust_mean(y, x, level))
     return out
+
+
+def _chain_batches(c: Copula, n: int, reps: int, seed: int):
+    """(seeds, uniform chains) of replications 0..reps-1, in batches that fit BATCH_BYTES."""
+    batch = max(1, min(reps, BATCH_BYTES // (3 * 8 * max(n, 1))))
+    for start in range(0, reps, batch):
+        seeds = [derive_seed(seed, r) for r in range(start, min(start + batch, reps))]
+        yield seeds, uniform_chain_matrix(c, n, seeds)
 
 
 def coverage_experiment(
@@ -185,9 +189,9 @@ def variance_diagnostic(
     nvar = []
     nhvar = []
     for n in sizes:
-        seeds = [derive_seed(seed, r) for r in range(reps)]
-        umat = uniform_chain_matrix(c, n, seeds)
-        means = m.quantile(umat).mean(axis=1)
+        # per row, as in replicate_robust_means: no batch-sized quantile temporaries
+        means = [m.quantile(row).mean() for _, umat in _chain_batches(c, n, reps, seed)
+                 for row in umat]
         v = float(np.var(means, ddof=1))
         nvar.append(n * v)
         nhvar.append(n * population_bandwidth(m, n) * v)

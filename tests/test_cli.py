@@ -192,6 +192,25 @@ def test_mixing_truncated_report_exits_3_but_still_writes(tmp_path):
     assert (out / "mixing_hard.json").exists()
 
 
+def test_mixing_past_the_fold_depth_cap_exits_3_with_every_lag(tmp_path):
+    # lags 9 and 10 nest the numeric fold past MAX_NUMERIC_FOLD_DEPTH: their
+    # reports keep only the envelope floor instead of aborting the command
+    hard = to_dict(NumericFold(Frechet(0.6), Gaussian(0.5)))
+    cfg = _small_config(tmp_path, copulas={"hard": hard})
+    out = tmp_path / "mix"
+    result = runner.invoke(
+        main,
+        ["mixing", "hard", "--n-max", "10", "--resolution", "8",
+         "--config", str(cfg), "--out", str(out)],
+    )
+    assert result.exit_code == 3
+    doc = json.loads((out / "mixing_hard.json").read_text())
+    assert [r["n"] for r in doc["reports"]] == list(range(1, 11))
+    last = doc["reports"][-1]
+    assert last["density_max"] == "inf" and last["psi_star_upper"] == "inf"
+    assert last["corner_scan"] == []
+
+
 def test_mixing_of_a_fold_with_a_singular_factor_exits_3_with_its_report(tmp_path):
     # a numeric fold with a singular factor has no density at any lag and no
     # corner scan past lag 1: every lag of its report is partial

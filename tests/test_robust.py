@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from copulamix import robust
 from copulamix import (
     PI,
+    M,
+    Convex,
     DegenerateSampleError,
     DomainError,
     Fgm,
@@ -241,6 +243,25 @@ def test_variance_diagnostic_relates_its_two_columns():
     for n, nv, nhv in zip(diag.sizes, diag.nvar, diag.nhvar):
         assert nv > 0.0
         assert nhv == pytest.approx(nv * population_bandwidth(Normal(30.0, 1.0), n), rel=1e-14)
+
+
+def test_variance_diagnostic_does_not_depend_on_batching(monkeypatch):
+    # a budget of 14 rows at n=100 splits 40 replications into 14, 14, 12;
+    # at n=50 the same budget holds 28 rows, so that size takes two batches
+    c, m, sizes, reps = Convex((0.6, 0.4), (Fgm(0.6), M)), Normal(30.0, 1.0), (50, 100), 40
+    whole = variance_diagnostic(c, m, sizes, reps, seed=5)
+    monkeypatch.setattr(robust, "BATCH_BYTES", 14 * 3 * 8 * 100)
+    batches = []
+    original = robust.uniform_chain_matrix
+
+    def recording(c, n, seeds):
+        batches.append((n, len(seeds)))
+        return original(c, n, seeds)
+
+    monkeypatch.setattr(robust, "uniform_chain_matrix", recording)
+    split = variance_diagnostic(c, m, sizes, reps, seed=5)
+    assert batches == [(50, 28), (50, 12), (100, 14), (100, 14), (100, 12)]
+    assert split == whole
 
 
 def test_dependent_chain_inflates_n_var_above_the_marginal_variance():
