@@ -4,7 +4,8 @@ A chain starts from a uniform draw and advances by inverting the conditional
 CDF of the driving copula: given the previous state u and a fresh uniform w,
 the next state is the root v of ``conditional_cdf(c, u, v) = w``.  Each leaf
 family owns that root as ``cond_u_inv_raw``: closed forms for Pi, M, W,
-Gaussian, FGM and AMH, bisection for numeric folds.  A chain plans its step
+Gaussian, FGM and AMH, the base's root for a reflection, bisection for
+numeric folds.  A chain plans its step
 once.  Convex combinations and Mardia mixtures (a fresh draw, a copy or a flip
 of the state) share one mixture rule: a dedicated selector stream gives one
 draw per step, every part steps, and the draw picks one part's result.
@@ -20,8 +21,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .copulas import PI, M, W, Convex, Copula, Mardia, NumericFold
-from .errors import DomainError, UnsupportedCopulaError
+from .copulas import PI, M, W, Convex, Copula, Mardia
+from .errors import DomainError
 from .normal import norm_ppf
 from .rng import CHAIN_STREAM, NORMAL_STREAM, SELECTOR_STREAM, open_uniform, stream
 
@@ -101,11 +102,6 @@ def _plan(c: Copula) -> tuple:
     elif isinstance(c, Mardia) and c not in (PI, M, W):
         # a fresh draw below 1 - a - b, a flip from 1 - b on, a copy in between
         cuts, parts = (1.0 - c.a - c.b, 1.0 - c.b), (PI, M, W)
-    elif isinstance(c, NumericFold) and not c.left.is_absolutely_continuous:
-        raise UnsupportedCopulaError(
-            "cannot sample a chain: the fold's left factor has a singular part, "
-            "so the conditional CDF in the first argument is unavailable"
-        )
     else:
         return 0, c.cond_u_inv_raw
     plans = [_plan(p) for p in parts]

@@ -10,8 +10,10 @@ copula gives the lag-n joint law.  ``fold`` returns a closed form wherever
 one exists (a Mardia factor on either side reflects or absorbs the other;
 FGM, Gaussian and convex combinations are closed) and otherwise wraps both
 factors in :class:`NumericFold`, which evaluates the integral by composite
-Gauss-Legendre quadrature: only AMH and FGM against Gaussian need it.  A
-mixture that ``fold`` returns holds at most one Mardia and one FGM component;
+Gauss-Legendre quadrature: only pairs of absolutely continuous factors, such
+as AMH against AMH or FGM against Gaussian, need it.  A reflection a closed
+family has no member for, such as AMH's, is a :class:`Reflected`.  A mixture
+that ``fold`` returns holds at most one Mardia and one FGM component;
 ``perturb_pi`` and ``perturb_m`` keep their components, which chains sample.
 
 Parameter conventions:
@@ -22,6 +24,7 @@ Parameter conventions:
 * ``PI``, ``M``, ``W``    Mardia at (a, b) = (0, 0), (1, 0) and (0, 1)
 * ``Gaussian(r)``       normal-scores correlation r in (-1, 1)
 * ``Amh(theta)``        C(u,v) = uv / (1 - theta(1-u)(1-v)), theta in [-1, 1]
+* ``Reflected(c, fu, fv)``  c with U flipped if fu, V flipped if fv
 """
 
 from __future__ import annotations
@@ -108,15 +111,6 @@ class Copula:
     def is_absolutely_continuous(self) -> bool:
         return True
 
-    @property
-    def has_kinks(self) -> bool:
-        """True when the partials bend in t; each family bends at every x or at none."""
-        return bool(self.kinks(0.5))
-
-    def kinks(self, x: float) -> tuple[float, ...]:
-        """Breakpoints of t -> d2 C(x, t), and by exchangeability of t -> d1 C(t, x)."""
-        return ()
-
 
 @dataclass(frozen=True)
 class Fgm(Copula):
@@ -179,10 +173,6 @@ class Mardia(Copula):
     @property
     def is_absolutely_continuous(self) -> bool:
         return self.a == 0.0 and self.b == 0.0
-
-    def kinks(self, x):
-        # the M part bends its partials at t = x, the W part at t = 1 - x
-        return (x,) * (self.a > 0.0) + (1.0 - x,) * (self.b > 0.0)
 
 
 @dataclass(frozen=True, init=False)
@@ -419,19 +409,64 @@ class Convex(Copula):
     def is_absolutely_continuous(self) -> bool:
         return all(c.is_absolutely_continuous for c in self.components)
 
-    def kinks(self, x):
-        return sum((c.kinks(x) for c in self.components), ())
+
+@dataclass(frozen=True)
+class Reflected(Copula):
+    """Copula of (1 - U, V), (U, 1 - V) or (1 - U, 1 - V) when (U, V) has copula ``base``.
+
+    ``reflect_u`` and ``reflect_v`` build it for families with no reflected
+    member of their own, such as AMH.  Every value comes from the base at the
+    reflected point (Nelsen 2006, sections 2.4 and 2.6).
+    """
+
+    base: Copula
+    flip_u: bool
+    flip_v: bool
+
+    def __post_init__(self):
+        if not isinstance(self.base, Copula):
+            raise DomainError(f"Reflected base is not a copula: {self.base!r}")
+        if not (isinstance(self.flip_u, bool) and isinstance(self.flip_v, bool)):
+            raise DomainError("Reflected flags must be booleans")
+        if not (self.flip_u or self.flip_v):
+            raise DomainError("Reflected needs at least one flipped coordinate")
+
+    def _at(self, u, v):
+        return (1.0 - u if self.flip_u else u), (1.0 - v if self.flip_v else v)
+
+    def cdf_raw(self, u, v):
+        c = self.base.cdf_raw(*self._at(u, v))
+        if self.flip_u and self.flip_v:
+            return u + v - 1.0 + c
+        return v - c if self.flip_u else u - c
+
+    def density_raw(self, u, v):
+        return self.base.density_raw(*self._at(u, v))
+
+    def cond_u_raw(self, u, v):
+        g = self.base.cond_u_raw(*self._at(u, v))
+        return 1.0 - g if self.flip_v else g
+
+    def cond_v_raw(self, u, v):
+        g = self.base.cond_v_raw(*self._at(u, v))
+        return 1.0 - g if self.flip_u else g
+
+    def cond_u_inv_raw(self, u, w):
+        v = self.base.cond_u_inv_raw(*self._at(u, w))  # the draw w flips with v
+        return 1.0 - v if self.flip_v else v
+
+    @property
+    def is_absolutely_continuous(self) -> bool:
+        return self.base.is_absolutely_continuous
 
 
 @dataclass(frozen=True)
 class NumericFold(Copula):
-    """Fold product evaluated by quadrature instead of a closed form.
+    """Fold product of two absolutely continuous copulas, evaluated by quadrature.
 
-    The CDF integrates the product of the left factor's v-partial and the
-    right factor's u-partial.  Partials and the density additionally need the
-    corresponding factor to be absolutely continuous; otherwise the
-    differentiation-under-the-integral step is invalid and the operation
-    raises instead of silently dropping singular mass.
+    ``fold`` builds one only where no closed form exists.  Every fold with a
+    Mardia factor has one, so both factors are absolutely continuous: the CDF,
+    the partials and the density are integrals of smooth kernels in t.
     """
 
     left: Copula
@@ -440,60 +475,36 @@ class NumericFold(Copula):
     def __post_init__(self):
         if not isinstance(self.left, Copula) or not isinstance(self.right, Copula):
             raise DomainError("NumericFold factors must be copulas")
+        if not (self.left.is_absolutely_continuous and self.right.is_absolutely_continuous):
+            raise DomainError("NumericFold factors must be absolutely continuous; "
+                              "fold() gives the closed form of a fold with a singular factor")
 
     def cdf_raw(self, u, v):
-        return _fold_quad(self.left.cond_v_raw, self.right.cond_u_raw, u, v,
-                          kinks_x=self.left.kinks if self.left.has_kinks else None,
-                          kinks_y=self.right.kinks if self.right.has_kinks else None)
+        return _fold_quad(self.left.cond_v_raw, self.right.cond_u_raw, u, v)
 
     def density_raw(self, u, v):
-        if not (self.left.is_absolutely_continuous and self.right.is_absolutely_continuous):
-            raise DensityUnavailableError(
-                "density of a numeric fold needs absolutely continuous factors")
         return _fold_quad(self.left.density_raw, self.right.density_raw, u, v)
 
     def cond_u_raw(self, u, v):
-        if not self.left.is_absolutely_continuous:
-            raise UnsupportedCopulaError(
-                "conditional CDF of a numeric fold needs an absolutely continuous left factor")
-        return _fold_quad(self.left.density_raw, self.right.cond_u_raw, u, v,
-                          kinks_y=self.right.kinks if self.right.has_kinks else None)
+        return _fold_quad(self.left.density_raw, self.right.cond_u_raw, u, v)
 
     def cond_v_raw(self, u, v):
-        if not self.right.is_absolutely_continuous:
-            raise UnsupportedCopulaError(
-                "v-partial of a numeric fold needs an absolutely continuous right factor")
-        return _fold_quad(self.left.cond_v_raw, self.right.density_raw, u, v,
-                          kinks_x=self.left.kinks if self.left.has_kinks else None)
-
-    @property
-    def is_absolutely_continuous(self) -> bool:
-        return self.left.is_absolutely_continuous and self.right.is_absolutely_continuous
+        return _fold_quad(self.left.cond_v_raw, self.right.density_raw, u, v)
 
 
-def _fold_quad(f_left, g_right, u, v, kinks_x=None, kinks_y=None):
+def _fold_quad(f_left, g_right, u, v):
     """Evaluate integral over t of f_left(x, t) * g_right(t, y) elementwise."""
     xb, yb, _ = _prep(u, v)
     x = xb.ravel()
     y = yb.ravel()
     out = np.empty_like(x)
-    if kinks_x is None and kinks_y is None:
-        t, wts = unit_rule()
-        step = max(1, _CHUNK_BUDGET // t.size)
-        for i in range(0, x.size, step):
-            xs = x[i:i + step, None]
-            ys = y[i:i + step, None]
-            vals = f_left(xs, t[None, :]) * g_right(t[None, :], ys)
-            out[i:i + step] = vals @ wts
-    else:
-        for i in range(x.size):
-            cuts: tuple[float, ...] = ()
-            if kinks_x is not None:
-                cuts += kinks_x(float(x[i]))
-            if kinks_y is not None:
-                cuts += kinks_y(float(y[i]))
-            t, wts = unit_rule(tuple(sorted(set(cuts))))
-            out[i] = np.dot(wts, f_left(x[i], t) * g_right(t, y[i]))
+    t, wts = unit_rule()
+    step = max(1, _CHUNK_BUDGET // t.size)
+    for i in range(0, x.size, step):
+        xs = x[i:i + step, None]
+        ys = y[i:i + step, None]
+        vals = f_left(xs, t[None, :]) * g_right(t[None, :], ys)
+        out[i:i + step] = vals @ wts
     shape = np.broadcast_shapes(np.shape(u), np.shape(v))
     return out.reshape(shape) if shape else out
 
@@ -520,8 +531,7 @@ def density(c: Copula, u, v):
     """Absolutely continuous density on the open unit square.
 
     For copulas with a singular part this is the density of the AC part
-    only (zero for M and W).  Raises ``DensityUnavailableError`` for numeric
-    folds with a singular factor.
+    only (zero for M and W).
     """
     ua, va, scalar = _prep(u, v)
     if not np.all((ua > 0.0) & (ua < 1.0) & (va > 0.0) & (va < 1.0)):
@@ -563,42 +573,44 @@ def rectangle_probability(c: Copula, rect: Rect) -> float:
     return float(vals[0] - vals[1] - vals[2] + vals[3])
 
 
-def reflect_u(c: Copula):
-    """Copula of (1 - U, V) when it has a closed form, else None.
+def reflect_u(c: Copula) -> Copula:
+    """Copula of (1 - U, V).
 
     Flipping one coordinate avoids evaluating CDFs at arguments like
     1 - epsilon, which keeps corner probabilities exact for small epsilon.
     """
+    return _reflect(c, True, False)
+
+
+def reflect_v(c: Copula) -> Copula:
+    """Copula of (U, 1 - V)."""
+    return _reflect(c, False, True)
+
+
+def _reflect(c: Copula, flip_u: bool, flip_v: bool) -> Copula:
+    """Copula of (U, V) ~ c with U taken to 1 - U if ``flip_u`` and V to 1 - V if ``flip_v``.
+
+    FGM, Gaussian and Mardia reflect within their families and are radially
+    symmetric; a mixture reflects each part, a fold its outer factors, and any
+    other copula becomes a :class:`Reflected`.
+    """
+    if not (flip_u or flip_v):
+        return c
+    if isinstance(c, Reflected):
+        return _reflect(c.base, c.flip_u != flip_u, c.flip_v != flip_v)
+    if isinstance(c, Convex):
+        return Convex(c.weights, tuple(_reflect(p, flip_u, flip_v) for p in c.components))
+    if isinstance(c, NumericFold):
+        return NumericFold(_reflect(c.left, flip_u, False), _reflect(c.right, False, flip_v))
+    if isinstance(c, (Fgm, Gaussian, Mardia)) and flip_u and flip_v:
+        return c
     if isinstance(c, Fgm):
         return Fgm(-c.theta)
-    if isinstance(c, Mardia):
-        return _canonical_mardia(c.b, c.a)
     if isinstance(c, Gaussian):
         return Gaussian(-c.r)
-    if isinstance(c, Convex):
-        parts = [reflect_u(comp) for comp in c.components]
-        if any(p is None for p in parts):
-            return None
-        return Convex(c.weights, tuple(parts))
-    if isinstance(c, NumericFold):
-        left = reflect_u(c.left)
-        return None if left is None else NumericFold(left, c.right)
-    return None
-
-
-def reflect_v(c: Copula):
-    """Copula of (U, 1 - V) when it has a closed form, else None."""
-    if isinstance(c, NumericFold):
-        right = reflect_v(c.right)
-        return None if right is None else NumericFold(c.left, right)
-    if isinstance(c, Convex):
-        parts = [reflect_v(comp) for comp in c.components]
-        if any(p is None for p in parts):
-            return None
-        return Convex(c.weights, tuple(parts))
-    # every other closed-form family here is exchangeable, so flipping V
-    # produces the same family member as flipping U
-    return reflect_u(c)
+    if isinstance(c, Mardia):
+        return _canonical_mardia(c.b, c.a)
+    return Reflected(c, flip_u, flip_v)
 
 
 # ---------------------------------------------------------------------------
@@ -661,7 +673,8 @@ def fold(c1: Copula, c2: Copula) -> Copula:
     identity and Frechet(theta) * FGM(phi) = FGM(theta^3 phi); FGM folds to
     FGM(theta1 * theta2 / 3), Gaussian to Gaussian(r1 * r2), and convex
     combinations distribute termwise.  Mixtures come back with at most one Mardia
-    and one FGM component.  Any other pair becomes a :class:`NumericFold`.
+    and one FGM component.  Any other pair, two absolutely continuous factors,
+    becomes a :class:`NumericFold`.
     """
     # d2 W(x, t) = 1{t > 1 - x}, so W reflects the other factor; terms of weight
     # zero are dropped.  With two Mardia factors, expand the one with fewer
@@ -671,9 +684,8 @@ def fold(c1: Copula, c2: Copula) -> Copula:
         if isinstance(m, Mardia):
             parts = zip((m.a, m.b, 1.0 - (m.a + m.b)), (c, reflect(c), PI))
             expansions.append(([(w, t) for w, t in parts if w > 0.0], m == M))
-    for terms, _ in sorted(expansions, key=lambda e: (len(e[0]), e[1])):
-        if all(t is not None for _, t in terms):  # AMH has no closed-form reflection
-            return _mixture(terms)
+    if expansions:
+        return _mixture(min(expansions, key=lambda e: (len(e[0]), e[1]))[0])
     if isinstance(c1, Convex) or isinstance(c2, Convex):
         terms = [(w1 * w2, fold(a, b))
                  for w1, a in _convex_terms(c1)
@@ -836,8 +848,8 @@ def check_copula_axioms(c: Copula, m: int = 32) -> AxiomReport:
 # serialization
 # ---------------------------------------------------------------------------
 
-# family name -> (class, serialised fields in order); Convex and NumericFold
-# nest other specifications and are handled by to_dict/from_dict themselves
+# family name -> (class, serialised fields in order); Convex, NumericFold and
+# Reflected nest other specifications and are handled by to_dict/from_dict themselves
 _FAMILIES = {
     "independence": (Independence, ()),
     "m": (Comonotone, ()),
@@ -859,6 +871,9 @@ def to_dict(c: Copula) -> dict:
                 "components": [to_dict(comp) for comp in c.components]}
     if isinstance(c, NumericFold):
         return {"family": "numeric_fold", "left": to_dict(c.left), "right": to_dict(c.right)}
+    if isinstance(c, Reflected):
+        return {"family": "reflected", "base": to_dict(c.base),
+                "flip_u": c.flip_u, "flip_v": c.flip_v}
     name = _FAMILY_NAMES.get(type(c))
     if name is None:
         raise UnsupportedCopulaError(f"cannot serialize {type(c).__name__}")
@@ -873,8 +888,13 @@ def from_dict(d: dict) -> Copula:
     try:
         if fam == "convex":
             return Convex(tuple(d["weights"]), tuple(from_dict(x) for x in d["components"]))
-        if fam == "numeric_fold":
-            return NumericFold(from_dict(d["left"]), from_dict(d["right"]))
+        if fam == "numeric_fold":  # a closed form wherever the pair has one
+            return fold(from_dict(d["left"]), from_dict(d["right"]))
+        if fam == "reflected":
+            flips = d["flip_u"], d["flip_v"]
+            if not all(isinstance(f, bool) for f in flips):
+                raise ConfigError(f"reflected flip_u and flip_v must be booleans, got {flips}")
+            return _reflect(from_dict(d["base"]), *flips)
         if not isinstance(fam, str) or fam not in _FAMILIES:
             raise ConfigError(f"unknown copula family: {fam!r}")
         cls, fields = _FAMILIES[fam]

@@ -14,8 +14,9 @@ density floor and ceiling that hold at every lag, and a flag for psi-star
 infinite at every lag.  A report's ``psi_prime_lower`` and ``psi_star_upper``
 are the lag-n density's minimum (capped at 1) and maximum (raised to 1) over a
 midpoint grid: estimates, not bounds, since a grid can only overstate the
-infimum and understate the supremum.  Only where the lag-n density is
-unavailable does ``psi_prime_lower`` hold the envelope floor, a true bound.
+infimum and understate the supremum.  Only where the lag-n law would nest
+numeric folds past the depth cap does ``psi_prime_lower`` hold the envelope
+floor, a true bound.
 Grid maxima across resolutions and corner-event scans give uncertified
 psi-star evidence where the envelope leaves that side open.
 """
@@ -28,18 +29,16 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Sequence
 
-import numpy as np
-
 from .copulas import (
     Amh,
     Convex,
     Copula,
-    DensityGrid,
     Fgm,
     Gaussian,
     Mardia,
     NumericFold,
     Rect,
+    Reflected,
     check_lag,
     density_grid,
     n_fold,
@@ -48,7 +47,7 @@ from .copulas import (
     reflect_u,
     reflect_v,
 )
-from .errors import DensityUnavailableError, DomainError, FoldDepthError, UnsupportedCopulaError
+from .errors import DomainError, FoldDepthError
 
 DEFAULT_RESOLUTION = 256
 DEFAULT_N_MAX = 3
@@ -118,28 +117,6 @@ class MixingReport:
         return json.dumps(self.to_dict(), indent=indent)
 
 
-@dataclass(frozen=True)
-class EpsDecomposition:
-    """Additive floor c(u, v) >= eps1(u) + eps2(v), tabulated on a grid."""
-
-    eps1: np.ndarray
-    eps2: np.ndarray
-
-    def __post_init__(self) -> None:
-        e1 = np.asarray(self.eps1, dtype=float)
-        e2 = np.asarray(self.eps2, dtype=float)
-        if e1.ndim != 1 or e2.ndim != 1 or e1.size != e2.size or e1.size == 0:
-            raise DomainError("eps1 and eps2 must be equal-length 1-d tables")
-        if not (np.all(e1 >= 0.0) and np.all(e2 >= 0.0)):
-            raise DomainError("decomposition entries must be nonnegative")
-        object.__setattr__(self, "eps1", e1)
-        object.__setattr__(self, "eps2", e2)
-
-    @property
-    def resolution(self) -> int:
-        return int(self.eps1.size)
-
-
 def density_extrema(c: Copula, n: int, m: int) -> tuple:
     """(min, max) of the lag-n AC density over the m x m midpoint grid."""
     return _grid_extrema(n_fold(c, n), m)
@@ -157,50 +134,26 @@ def psi_prime_lower_bound(c: Copula, n: int, m: int = DEFAULT_RESOLUTION) -> flo
 
     It is the minimum of the lag-n density over the m x m midpoint grid,
     capped at 1: an estimate of the density's essential infimum from above,
-    not a bound.  When the lag-n density is unavailable (a fold with a
-    singular factor, or fold nesting past the cap) it is the closed-form
-    envelope floor, which is a certified lower bound.
+    not a bound.  When the lag-n law would nest numeric folds past the cap it
+    is the closed-form envelope floor, which is a certified lower bound.
     """
     try:
         lo, _ = density_extrema(c, n, m)
-    except (DensityUnavailableError, FoldDepthError):
+    except FoldDepthError:
         return _envelope(c, n)[0]
     return min(float(lo), 1.0)
-
-
-def verify_eps_decomposition(d: DensityGrid, e: EpsDecomposition) -> tuple:
-    """Check d(i, j) >= eps1(i) + eps2(j) cellwise; also return min eps1 + min eps2.
-
-    The second value is the additive floor's total mass rate: when the check
-    holds and the value is positive, every event ratio at this lag is bounded
-    below by it, because the infimum over sets of the average of a function
-    equals the function's essential infimum.
-    """
-    if d.resolution != e.resolution:
-        raise DomainError(
-            f"resolution mismatch: grid {d.resolution} vs decomposition {e.resolution}"
-        )
-    floor = e.eps1[:, None] + e.eps2[None, :]
-    holds = bool(np.all(d.values >= floor))
-    return holds, float(e.eps1.min() + e.eps2.min())
 
 
 def _corner_probability(c: Copula, eps: float, flip_u: bool, flip_v: bool) -> float:
     """Mass of the eps-corner in the given orientation.
 
-    Where the family supports closed-form coordinate reflection, the high
-    corners are folded onto the low corner of the reflected copula, so the
-    value is a single CDF evaluation at (eps, eps) with no cancellation and
-    no rounding of 1 - eps.  Otherwise falls back to inclusion-exclusion.
+    The high corners are folded onto the low corner of the reflected copula,
+    so the value is a single CDF evaluation at (eps, eps) with no
+    cancellation and no rounding of 1 - eps.
     """
     cc = reflect_u(c) if flip_u else c
-    if flip_v and cc is not None:
-        cc = reflect_v(cc)
-    if cc is not None:
-        return rectangle_probability(cc, Rect(0.0, eps, 0.0, eps))
-    u_lo, u_hi = (1.0 - eps, 1.0) if flip_u else (0.0, eps)
-    v_lo, v_hi = (1.0 - eps, 1.0) if flip_v else (0.0, eps)
-    return rectangle_probability(c, Rect(u_lo, u_hi, v_lo, v_hi))
+    cc = reflect_v(cc) if flip_v else cc
+    return rectangle_probability(cc, Rect(0.0, eps, 0.0, eps))
 
 
 def corner_divergence_scan(c: Copula, n: int, eps_list: Sequence[float]) -> list:
@@ -267,8 +220,9 @@ def _envelope(c: Copula, n: int) -> tuple:
     part or no finite bound is known.  The flag says psi-star is infinite at
     every lag.  A fold's density is at least the floor of either factor and at
     most the ceiling of either absolutely continuous factor, so a lag-1
-    envelope holds at every later lag: the AMH, Convex and NumericFold rules
-    use that.  Any other copula gets the neutral (0, inf, False).
+    envelope holds at every later lag: the AMH, Convex, NumericFold and
+    Reflected rules use that; a reflected density takes the base's values.
+    Any other copula gets the neutral (0, inf, False).
     """
     if isinstance(c, Fgm):
         return (*fgm_psi_bounds(c.theta, n), False)
@@ -291,6 +245,8 @@ def _envelope(c: Copula, n: int) -> tuple:
     if isinstance(c, NumericFold):
         (lo_l, hi_l, _), (lo_r, hi_r, _) = _envelope(c.left, 1), _envelope(c.right, 1)
         return max(lo_l, lo_r), min(hi_l, hi_r), False
+    if isinstance(c, Reflected):
+        return _envelope(c.base, 1)
     return 0.0, math.inf, False
 
 
@@ -305,33 +261,23 @@ def lag_report(
         cn = n_fold(c, n)
     except FoldDepthError:  # no lag-n law to evaluate: keep the envelope floor alone
         return MixingReport(int(n), 0.0, math.inf, False, float(_envelope(c, n)[0]), math.inf, ())
-    try:
-        lo, hi = _grid_extrema(cn, m)
-        psi_prime = min(lo, 1.0)  # psi_prime_lower_bound of this very grid
-        unbounded = False
-        # the refinement ladder is affordable only for closed-form densities;
-        # quadrature-backed folds rely on the corner scan for divergence evidence
-        if hi > 5.0 and numeric_fold_depth(cn) == 0:
-            unbounded, hi_fine = _grid_maxima_unbounded(cn, m, hi)
-            hi = max(hi, hi_fine)
-        density_min, density_max = lo, (math.inf if unbounded else hi)
-    except DensityUnavailableError:
-        density_min, density_max, unbounded = 0.0, math.inf, False
-        psi_prime = _envelope(c, n)[0]
-
+    lo, hi = _grid_extrema(cn, m)
+    unbounded = False
+    # the refinement ladder is affordable only for closed-form densities;
+    # quadrature-backed folds rely on the corner scan for divergence evidence
+    if hi > 5.0 and numeric_fold_depth(cn) == 0:
+        unbounded, hi_fine = _grid_maxima_unbounded(cn, m, hi)
+        hi = max(hi, hi_fine)
+    density_max = math.inf if unbounded else hi
     psi_star = max(density_max, 1.0) if cn.is_absolutely_continuous else math.inf
-    try:
-        scan = tuple(_corner_scan(cn, eps_list))
-    except UnsupportedCopulaError:
-        scan = ()  # a fold with a singular factor: no corner mass to scan
     return MixingReport(
         n=int(n),
-        density_min=float(density_min),
+        density_min=float(lo),
         density_max=float(density_max),
         density_unbounded_evidence=bool(unbounded),
-        psi_prime_lower=float(psi_prime),
+        psi_prime_lower=float(min(lo, 1.0)),  # psi_prime_lower_bound of this very grid
         psi_star_upper=float(psi_star),
-        corner_scan=scan,
+        corner_scan=tuple(_corner_scan(cn, eps_list)),
     )
 
 

@@ -1,10 +1,9 @@
 """Composite Gauss-Legendre quadrature on [0, 1].
 
-Rules are built from 32-point panels laid over a graded partition that
+The rule is built from 32-point panels laid over a graded partition that
 clusters panels toward both interval endpoints, where copula conditionals
-composed with normal quantiles lose smoothness.  Fold integrands with
-indicator factors additionally split the interval at the indicator
-breakpoints so every panel sees a smooth piece.
+composed with normal quantiles lose smoothness.  Fold integrands are smooth
+inside (0, 1): a fold with a singular factor has a closed form instead.
 """
 
 from __future__ import annotations
@@ -36,25 +35,9 @@ def _panel_rule(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     return a + half * (_GL_NODES + 1.0), half * _GL_WEIGHTS
 
 
-@lru_cache(maxsize=4096)
-def unit_rule(breakpoints: tuple[float, ...] = ()) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights integrating over (0, 1), split at ``breakpoints``.
-
-    Each segment between consecutive split points carries a graded stack of
-    32-point Gauss-Legendre panels.  Breakpoints outside (0, 1) are ignored.
-    """
-    cuts = sorted({float(t) for t in breakpoints if 0.0 < t < 1.0})
-    bounds = [0.0, *cuts, 1.0]
-    nodes, weights = [], []
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        if b - a <= 0.0:
-            continue
-        edges = a + (b - a) * _OFFSETS
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            t, w = _panel_rule(lo, hi)
-            nodes.append(t)
-            weights.append(w)
-    # panels narrower than a few ulp can round a node onto an endpoint,
-    # where fold integrands may be singular; keep the interval open
-    all_nodes = np.clip(np.concatenate(nodes), 5e-324, 1.0 - 2.0**-53)
-    return all_nodes, np.concatenate(weights)
+@lru_cache(maxsize=None)
+def unit_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights integrating over (0, 1): a graded stack of 32-point
+    Gauss-Legendre panels, every node strictly inside the interval."""
+    nodes, weights = zip(*(_panel_rule(lo, hi) for lo, hi in zip(_OFFSETS[:-1], _OFFSETS[1:])))
+    return np.concatenate(nodes), np.concatenate(weights)

@@ -3,8 +3,9 @@
 The iterated-fold oracle composes transition operators by straight
 Gauss-Legendre matrix algebra, sharing no code with the fold machinery in the
 package: the only package calls are the pointwise conditional CDF and density
-evaluations of the base copula.  The closed-form densities below call nothing
-from the package at all; the normal quantile comes from scipy.
+evaluations of the base copula.  The kinked-fold oracle likewise calls only
+the factors' partials.  The closed-form densities below call nothing from the
+package at all; the normal quantile comes from scipy.
 """
 
 from decimal import Decimal, localcontext
@@ -46,6 +47,33 @@ def iterated_fold_grid(c, n, xs, ys, order: int = GL_ORDER):
     for _ in range(n - 2):
         middle = middle @ kernel
     return left @ middle @ (w[:, None] * right)
+
+
+KINK_ORDER = 24
+# panel edges within a segment, relative to its length: graded toward both ends
+_KINK_EDGES = np.array((0.0, 1e-6, 1e-3, 0.05, 0.5, 0.95, 1.0 - 1e-3, 1.0 - 1e-6, 1.0))
+
+
+def kinked_fold_cdf(c1, c2, xs, ys, order: int = KINK_ORDER):
+    """CDF of the fold C1 * C2 on the grid xs x ys, for factors with singular parts.
+
+    The integrand d2 C1(x, t) d1 C2(t, y) jumps where an M or W part of a factor
+    switches on: at t = x or 1 - x on the left and t = y or 1 - y on the right.
+    Each point's integral over (0, 1) is split there, and every segment carries
+    the same graded stack of Gauss-Legendre panels, vectorised over the points.
+    A zero-width segment carries zero weight.
+    """
+    gx, gy = np.meshgrid(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float), indexing="ij")
+    x, y = gx.ravel(), gy.ravel()
+    ends = np.sort(np.stack([np.zeros_like(x), x, 1.0 - x, y, 1.0 - y, np.ones_like(x)], axis=1), axis=1)
+    lo, width = ends[:, :-1, None], np.diff(ends, axis=1)[:, :, None]
+    g, gw = np.polynomial.legendre.leggauss(order)
+    half = 0.5 * np.diff(_KINK_EDGES)[:, None]
+    rel = (_KINK_EDGES[:-1, None] + half * (g + 1.0)).ravel()
+    rel_w = (half * gw).ravel()
+    t = np.where(width > 0.0, lo + width * rel, 0.5)  # keep idle nodes off the ends
+    vals = c1.cond_v_raw(x[:, None, None], t) * c2.cond_u_raw(t, y[:, None, None])
+    return (vals * (width * rel_w)).sum(axis=(1, 2)).reshape(gx.shape)
 
 
 def iterated_density_grid(density, n, xs, ys, order: int = GL_ORDER):

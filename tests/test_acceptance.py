@@ -49,6 +49,7 @@ from oracles import (
     amh_density_range,
     gaussian_diagonal_density,
     iterated_fold_grid,
+    kinked_fold_cdf,
 )
 
 SEED = default_study_config().seed
@@ -70,53 +71,63 @@ def _max_cdf_diff(a, b, points=33):
     return float(np.max(np.abs(cdf(a, uu, vv) - cdf(b, uu, vv))))
 
 
+def _quadrature_fold(c1, c2):
+    """CDF of C1 * C2 on the grid by quadrature: the package's NumericFold for two
+    absolutely continuous factors, the kink-splitting oracle otherwise."""
+    xs, ys = _grid()
+    if c1.is_absolutely_continuous and c2.is_absolutely_continuous:
+        uu, vv = np.meshgrid(xs, ys, indexing="ij")
+        return cdf(NumericFold(c1, c2), uu, vv)
+    return kinked_fold_cdf(c1, c2, xs, ys)
+
+
 def test_01_closed_form_folds_match_quadrature_folds(capsys):
     start = time.time()
     ac = Fgm(0.7)
-    cases = [
-        # (closed-form result, quadrature construction, tolerance, label)
-        (fold(ac, PI), NumericFold(ac, PI), 1e-8, "pi-absorb-right"),
-        (fold(PI, ac), NumericFold(PI, ac), 1e-8, "pi-absorb-left"),
-        (fold(ac, M), NumericFold(ac, M), 1e-6, "m-identity-right"),
-        (fold(M, ac), NumericFold(M, ac), 1e-6, "m-identity-left"),
-        (fold(W, W), NumericFold(W, W), 1e-6, "w-squared-is-m"),
-        (fold(Fgm(0.8), Fgm(-0.5)), NumericFold(Fgm(0.8), Fgm(-0.5)), 1e-8, "fgm-map"),
-        (
-            fold(Mardia(0.3, 0.2), Mardia(0.1, 0.4)),
-            NumericFold(Mardia(0.3, 0.2), Mardia(0.1, 0.4)),
-            1e-6,
-            "mardia-composition",
-        ),
-        *(
-            (fold(Gaussian(r1), Gaussian(r2)), NumericFold(Gaussian(r1), Gaussian(r2)), 1e-8,
-             f"gaussian-{r1}x{r2}")
-            for r1, r2 in ((0.5, 0.5), (0.8, -0.4), (0.25, 0.9))
-        ),
-        # the Mardia rule against factors outside the Mardia family
-        *(
-            (fold(c1, c2), NumericFold(c1, c2), 1e-6, f"mardia-rule-{label}")
-            for c1, c2, label in (
-                (W, Fgm(0.7), "w-x-fgm"),
-                (Fgm(0.7), W, "fgm-x-w"),
-                (Frechet(0.6), Fgm(0.6), "frechet-x-fgm"),
-                (Fgm(0.6), Frechet(0.6), "fgm-x-frechet"),
-                (Frechet(0.6), Gaussian(0.5), "frechet-x-gaussian"),
-                (Gaussian(0.5), Mardia(0.3, 0.2), "gaussian-x-mardia"),
-                (W, Gaussian(0.5), "w-x-gaussian"),
-                (Mardia(0.3, 0.2), Fgm(-0.8), "mardia-x-fgm"),
-            )
-        ),
+    frechet_amh = Convex((0.6, 0.4), (Frechet(0.6), Amh(0.5)))
+    pairs = [
+        # (left factor, right factor, tolerance, label)
+        (ac, PI, 1e-8, "pi-absorb-right"),
+        (PI, ac, 1e-8, "pi-absorb-left"),
+        (ac, M, 1e-6, "m-identity-right"),
+        (M, ac, 1e-6, "m-identity-left"),
+        (W, W, 1e-6, "w-squared-is-m"),
+        (Fgm(0.8), Fgm(-0.5), 1e-8, "fgm-map"),
+        (Mardia(0.3, 0.2), Mardia(0.1, 0.4), 1e-6, "mardia-composition"),
+        *((Gaussian(r1), Gaussian(r2), 1e-8, f"gaussian-{r1}x{r2}")
+          for r1, r2 in ((0.5, 0.5), (0.8, -0.4), (0.25, 0.9))),
+        # the Mardia rule against factors outside the Mardia family; AMH has
+        # no reflected member, so its W part is a Reflected
+        *((c1, c2, 1e-6, f"mardia-rule-{label}")
+          for c1, c2, label in (
+              (W, Fgm(0.7), "w-x-fgm"),
+              (Fgm(0.7), W, "fgm-x-w"),
+              (Frechet(0.6), Fgm(0.6), "frechet-x-fgm"),
+              (Fgm(0.6), Frechet(0.6), "fgm-x-frechet"),
+              (Frechet(0.6), Gaussian(0.5), "frechet-x-gaussian"),
+              (Gaussian(0.5), Mardia(0.3, 0.2), "gaussian-x-mardia"),
+              (W, Gaussian(0.5), "w-x-gaussian"),
+              (Mardia(0.3, 0.2), Fgm(-0.8), "mardia-x-fgm"),
+              (Frechet(0.6), Amh(0.5), "frechet-x-amh"),
+              (Amh(0.5), Frechet(0.6), "amh-x-frechet"),
+              (W, Amh(0.5), "w-x-amh"),
+              (Amh(0.5), W, "amh-x-w"),
+          )),
+        (frechet_amh, frechet_amh, 1e-6, "frechet-amh-lag-2"),
     ]
+    cases = [(fold(c1, c2), c1, c2, tol, label) for c1, c2, tol, label in pairs]
     # the normal form of the shipped mixtures at lags 2 and 3
     for name in ("fgm_m", "frechet_fgm", "frechet_fgm@m0.7"):
         c = default_study_config().resolve(name)
         cases += [
-            (fold(c, c), NumericFold(c, c), 1e-6, f"{name}-lag-2"),
-            (n_fold(c, 3), NumericFold(n_fold(c, 2), c), 1e-6, f"{name}-lag-3"),
+            (fold(c, c), c, c, 1e-6, f"{name}-lag-2"),
+            (n_fold(c, 3), n_fold(c, 2), c, 1e-6, f"{name}-lag-3"),
         ]
+    xs, ys = _grid()
+    uu, vv = np.meshgrid(xs, ys, indexing="ij")
     worst = []
-    for closed, numeric, tol, label in cases:
-        err = _max_cdf_diff(closed, numeric)
+    for closed, c1, c2, tol, label in cases:
+        err = float(np.max(np.abs(cdf(closed, uu, vv) - _quadrature_fold(c1, c2))))
         worst.append((label, err, tol))
     elapsed = time.time() - start
     ok = all(err <= tol for _, err, tol in worst) and elapsed < 10.0

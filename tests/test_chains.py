@@ -28,9 +28,11 @@ from copulamix.copulas import (
     Gaussian,
     Mardia,
     NumericFold,
+    Reflected,
     cdf,
+    fold,
 )
-from copulamix.errors import DomainError, UnsupportedCopulaError
+from copulamix.errors import DomainError
 from copulamix.rng import derive_seed
 from oracles import amh_transition_root
 
@@ -46,6 +48,7 @@ SAMPLEABLE = (
     Amh(0.5),
     Convex((0.6, 0.4), (Fgm(0.6), M)),
     Convex((0.5, 0.3, 0.2), (Frechet(0.6), Fgm(0.6), PI)),
+    fold(Frechet(0.6), Amh(0.5)),  # AMH, AMH reflected and Pi
 )
 
 _LO = 0.5**53
@@ -166,7 +169,10 @@ def test_fgm_transition_solves_the_conditional_cdf():
     u = np.concatenate(([0.5, 1e-9, 1.0 - 1e-9], np.linspace(0.005, 0.995, 199)))
     uu, ww = np.meshgrid(u, np.linspace(1e-6, 1.0 - 1e-6, 401))
     uu, ww = uu.ravel(), ww.ravel()
-    for c in (*(Fgm(theta) for theta in (-1.0, -0.5, 0.0, 0.6, 1.0)), Amh(-1.0), Amh(0.5)):
+    reflected = (Reflected(Amh(theta), *flips) for theta in (-1.0, 0.5)
+                 for flips in ((True, False), (False, True), (True, True)))
+    for c in (*(Fgm(theta) for theta in (-1.0, -0.5, 0.0, 0.6, 1.0)), Amh(-1.0), Amh(0.5),
+              *reflected):
         v = c.cond_u_inv_raw(uu, ww)
         assert np.max(np.abs(c.cond_u_raw(uu, v) - ww)) <= 1e-12, c
 
@@ -199,13 +205,23 @@ def test_quadrature_fold_chain_stays_uniform():
     assert d < 0.1
 
 
-def test_unsampleable_fold_is_rejected():
-    bad = NumericFold(Frechet(0.6), Gaussian(0.5))
-    with pytest.raises(UnsupportedCopulaError):
-        sample_chain(bad, 10, 1)
-    # also inside a mixture, and for a chain that never takes a step
-    with pytest.raises(UnsupportedCopulaError, match="left factor has a singular part"):
-        sample_chain(Convex((0.5, 0.5), (Fgm(0.6), bad)), 1, 1)
+def test_reflected_amh_joint_frequency_matches_the_cdf():
+    for c in (fold(Frechet(0.6), Amh(0.5)), Reflected(Amh(0.9), True, False),
+              Reflected(Amh(0.9), False, True)):
+        u = uniform_chain_matrix(c, 500, range(24, 84))  # 60 chains, 29 940 steps
+        for a, b in ((0.3, 0.3), (0.3, 0.8)):
+            hit = np.mean((u[:, :-1] <= a) & (u[:, 1:] <= b))
+            assert hit == pytest.approx(cdf(c, a, b), abs=0.01), (c, a, b)
+        assert scipy.stats.kstest(u.ravel(), "uniform").statistic < 0.015, c
+
+
+def test_singular_fold_is_rejected_at_construction():
+    # a fold with a singular factor has a closed form, which samples
+    with pytest.raises(DomainError):
+        NumericFold(Frechet(0.6), Gaussian(0.5))
+    c = fold(Frechet(0.6), Gaussian(0.5))
+    assert _plan(c)[0] == 1
+    assert scipy.stats.kstest(sample_chain(c, 2000, 1).uniforms, "uniform").statistic < 0.05
 
 
 def test_chain_length_validation():

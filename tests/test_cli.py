@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface and the reproduce script."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from copulamix import Frechet, Gaussian, NumericFold, default_study_config, to_dict
+from copulamix import copulas, default_study_config, to_dict
 from copulamix.cli import main
 
 runner = CliRunner()
@@ -63,6 +64,19 @@ def test_fold_power_of_one_spec():
     assert doc["family"] == "convex"
     assert [c["family"] for c in doc["components"]] == ["mardia", "fgm"]
     assert doc["weights"] == pytest.approx([0.216, 0.784], abs=1e-15)
+
+
+def test_fold_against_amh_reflects_it_in_closed_form():
+    # Frechet(0.6) = 0.288 M + 0.072 W + 0.64 Pi, and W reflects the other factor
+    result = runner.invoke(main, ["fold", "frechet", '{"family": "amh", "theta": 0.5}'])
+    assert result.exit_code == 0, result.output
+    doc = json.loads(result.output)
+    amh = {"family": "amh", "theta": 0.5}
+    assert doc["family"] == "convex"
+    assert doc["components"] == [
+        amh, {"family": "reflected", "base": amh, "flip_u": True, "flip_v": False},
+        {"family": "independence"}]
+    assert doc["weights"] == pytest.approx([0.288, 0.072, 0.64], abs=1e-15)
 
 
 def test_fold_usage_errors_exit_2():
@@ -179,50 +193,57 @@ def test_mixing_handles_derived_names_in_filenames(tmp_path):
     assert (out / "mixing_fgm-pi0.4.json").exists()
 
 
-def test_mixing_truncated_report_exits_3_but_still_writes(tmp_path):
-    hard = to_dict(NumericFold(Frechet(0.6), Gaussian(0.5)))
-    cfg = _small_config(tmp_path, copulas={"hard": hard})
+AMH = {"family": "amh", "theta": 0.5}
+# the README's example of a fold with a singular factor
+FRECHET_X_GAUSSIAN = {"family": "numeric_fold", "left": {"family": "frechet", "theta": 0.6},
+                      "right": {"family": "gaussian", "r": 0.5}}
+
+
+def test_mixing_truncated_report_exits_3_but_still_writes(tmp_path, monkeypatch):
+    # with the fold-depth cap at 0, AMH's lag-2 law is past it
+    monkeypatch.setattr(copulas, "MAX_NUMERIC_FOLD_DEPTH", 0)
+    cfg = _small_config(tmp_path, copulas={"hard": AMH})
     out = tmp_path / "mix"
     result = runner.invoke(
         main,
-        ["mixing", "hard", "--n-max", "1", "--resolution", "16",
+        ["mixing", "hard", "--n-max", "2", "--resolution", "16",
          "--config", str(cfg), "--out", str(out)],
     )
     assert result.exit_code == 3
     assert (out / "mixing_hard.json").exists()
 
 
-def test_mixing_past_the_fold_depth_cap_exits_3_with_every_lag(tmp_path):
-    # lags 9 and 10 nest the numeric fold past MAX_NUMERIC_FOLD_DEPTH: their
+def test_mixing_past_the_fold_depth_cap_exits_3_with_every_lag(tmp_path, monkeypatch):
+    # lags 2 to 4 nest the numeric fold past MAX_NUMERIC_FOLD_DEPTH: their
     # reports keep only the envelope floor instead of aborting the command
-    hard = to_dict(NumericFold(Frechet(0.6), Gaussian(0.5)))
-    cfg = _small_config(tmp_path, copulas={"hard": hard})
+    monkeypatch.setattr(copulas, "MAX_NUMERIC_FOLD_DEPTH", 0)
+    cfg = _small_config(tmp_path, copulas={"hard": AMH})
     out = tmp_path / "mix"
     result = runner.invoke(
         main,
-        ["mixing", "hard", "--n-max", "10", "--resolution", "8",
+        ["mixing", "hard", "--n-max", "4", "--resolution", "8",
          "--config", str(cfg), "--out", str(out)],
     )
     assert result.exit_code == 3
     doc = json.loads((out / "mixing_hard.json").read_text())
-    assert [r["n"] for r in doc["reports"]] == list(range(1, 11))
+    assert [r["n"] for r in doc["reports"]] == list(range(1, 5))
+    assert doc["reports"][0]["corner_scan"] != []
     last = doc["reports"][-1]
     assert last["density_max"] == "inf" and last["psi_star_upper"] == "inf"
     assert last["corner_scan"] == []
 
 
-def test_mixing_of_a_fold_with_a_singular_factor_exits_3_with_its_report(tmp_path):
-    # a numeric fold with a singular factor has no density at any lag and no
-    # corner scan past lag 1: every lag of its report is partial
-    hard = to_dict(NumericFold(Frechet(0.6), Gaussian(0.5)))
-    cfg = _small_config(tmp_path, copulas={"hard": hard})
+def test_mixing_of_a_fold_with_a_singular_factor_exits_0_with_its_report(tmp_path):
+    # the spec parses to its closed form, 0.288 Gaussian(0.5) + 0.072
+    # Gaussian(-0.5) + 0.64 Pi, so every lag has a density and a corner scan
+    cfg = _small_config(tmp_path, copulas={"hard": FRECHET_X_GAUSSIAN})
     out = tmp_path / "mix"
     result = runner.invoke(main, ["mixing", "hard", "--config", str(cfg), "--out", str(out)])
-    assert result.exit_code == 3
+    assert result.exit_code == 0, result.output
     doc = json.loads((out / "mixing_hard.json").read_text())
     assert [r["n"] for r in doc["reports"]] == [1, 2, 3]
-    assert [r["density_max"] for r in doc["reports"]] == ["inf"] * 3
-    assert doc["reports"][2]["corner_scan"] == []
+    assert all(r["corner_scan"] for r in doc["reports"])
+    assert doc["spec"]["family"] == "convex"
     # the shipped perturbation example folds in closed form at every lag
     result = runner.invoke(main, ["mixing", "frechet_fgm", "--out", str(tmp_path / "shipped")])
     assert result.exit_code == 0, result.output
@@ -359,12 +380,18 @@ def test_reproduce_study_without_the_table_completes_on_the_shipped_config(tmp_p
     assert "partial report" not in proc.stdout
     assert len(list(tmp_path.glob("figure*.csv"))) == 10
     assert not (tmp_path / "table4.csv").exists()
-    # a spec without densities still completes the run, marked as partial
-    doc = json.loads(shipped.read_text())
-    doc["copulas"]["hard"] = to_dict(NumericFold(Frechet(0.6), Gaussian(0.5)))
+
+
+def test_reproduce_study_marks_a_partial_report_and_carries_on(tmp_path, monkeypatch, capsys):
+    # with the fold-depth cap at 0, AMH's lags 2 and 3 have no lag-n law
+    doc = json.loads((ROOT / "configs" / "table4.json").read_text())
+    doc["copulas"]["hard"] = AMH
     config = tmp_path / "with_hard.json"
     config.write_text(json.dumps(doc))
-    proc = _reproduce_without_the_table(config, tmp_path / "with_hard")
-    assert proc.returncode == 0, proc.stderr
-    partial = [line for line in proc.stdout.splitlines() if "partial report" in line]
+    spec = importlib.util.spec_from_file_location("reproduce_study", ROOT / "scripts" / "reproduce_study.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(copulas, "MAX_NUMERIC_FOLD_DEPTH", 0)
+    assert script.main(["--skip-table", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    partial = [line for line in capsys.readouterr().out.splitlines() if "partial report" in line]
     assert len(partial) == 1 and "mixing_hard.json" in partial[0]

@@ -21,6 +21,7 @@ from copulamix.copulas import (
     Mardia,
     NumericFold,
     Rect,
+    Reflected,
     cdf,
     check_copula_axioms,
     conditional_cdf,
@@ -40,13 +41,7 @@ from copulamix.copulas import (
     to_json,
 )
 from copulamix.config import load_config
-from copulamix.errors import (
-    ConfigError,
-    DensityUnavailableError,
-    DomainError,
-    FoldDepthError,
-    UnsupportedCopulaError,
-)
+from copulamix.errors import ConfigError, DomainError, FoldDepthError
 from copulamix.quadrature import unit_rule
 
 ZOO = (
@@ -63,10 +58,13 @@ ZOO = (
     Amh(-1.0),
     Convex((0.6, 0.4), (Fgm(0.6), M)),
     Convex((0.5, 0.3, 0.2), (Frechet(0.6), Fgm(0.6), PI)),
+    Reflected(Amh(0.5), True, False),
+    Reflected(Amh(-1.0), False, True),
+    Convex((0.288, 0.072, 0.64), (Amh(0.5), Reflected(Amh(0.5), True, False), PI)),
 )
 
 AC_ZOO = tuple(c for c in ZOO if c.is_absolutely_continuous)
-REFLECTABLE = tuple(c for c in ZOO if not isinstance(c, Amh))
+REFLECTABLE = ZOO + (NumericFold(Amh(0.5), Gaussian(0.3)),)
 
 GRID = np.linspace(0.0, 1.0, 9)
 
@@ -152,11 +150,11 @@ def test_pi_m_w_are_the_mardia_corners_bit_for_bit():
         assert np.array_equal(c.cond_u_raw(u, v), want_du)
         assert np.array_equal(c.cond_v_raw(u, v), want_dv)
     assert repr(M) == "Comonotone()"
-    assert PI.is_absolutely_continuous and not PI.has_kinks
+    assert PI.is_absolutely_continuous
     assert not M.is_absolutely_continuous and not W.is_absolutely_continuous
 
 
-LEAVES = tuple(c for c in ZOO if not isinstance(c, Convex))
+LEAVES = tuple(c for c in ZOO if not isinstance(c, (Convex, Reflected)))
 
 
 @pytest.mark.parametrize("c", LEAVES, ids=lambda c: repr(c)[:40])
@@ -167,17 +165,6 @@ def test_v_partial_is_the_swapped_u_partial(c):
     assert np.array_equal(c.cond_v_raw(u, v), c.cond_u_raw(v, u))
 
 
-def test_kinks_follow_the_singular_parts():
-    x = 0.3
-    assert M.kinks(x) == (x,)
-    assert W.kinks(x) == (1.0 - x,)
-    assert PI.kinks(x) == ()
-    assert Mardia(0.3, 0.0).kinks(x) == (x,)
-    assert Mardia(0.0, 0.3).kinks(x) == (1.0 - x,)
-    assert Mardia(0.3, 0.2).kinks(x) == (x, 1.0 - x)
-    assert Convex((0.5, 0.5), (M, Fgm(0.6))).kinks(x) == (x,)
-
-
 # ---------------------------------------------------------------------------
 # axioms
 # ---------------------------------------------------------------------------
@@ -185,6 +172,16 @@ def test_kinks_follow_the_singular_parts():
 @pytest.mark.parametrize("c", ZOO, ids=lambda c: repr(c)[:40])
 def test_axioms_hold_for_every_family(c):
     report = check_copula_axioms(c, m=16)
+    assert report.ok, report.violations
+
+
+FLIPS = ((True, False), (False, True), (True, True))
+
+
+@pytest.mark.parametrize("flips", FLIPS)
+@pytest.mark.parametrize("theta", [-1.0, 0.5, 1.0])
+def test_axioms_hold_for_every_reflected_amh(theta, flips):
+    report = check_copula_axioms(Reflected(Amh(theta), *flips), m=16)
     assert report.ok, report.violations
 
 
@@ -288,6 +285,13 @@ def test_frechet_times_fgm_is_fgm_with_theta_cubed(theta, phi):
 def test_w_reflects_the_other_factor(c):
     assert fold(W, c) == reflect_u(c)
     assert fold(c, W) == reflect_v(c)
+
+
+@pytest.mark.parametrize("c", REFLECTABLE, ids=lambda c: repr(c)[:40])
+def test_folds_with_a_mardia_factor_add_no_quadrature(c):
+    for m in (W, Frechet(0.6), Mardia(0.3, 0.2)):
+        for out in (fold(m, c), fold(c, m)):
+            assert numeric_fold_depth(out) == numeric_fold_depth(c), out
 
 
 def test_frechet_times_gaussian_mixes_both_reflections_with_pi():
@@ -495,14 +499,20 @@ def test_reflection_swaps_the_frechet_bounds():
     assert reflect_u(Mardia(0.3, 0.2)) == Mardia(0.2, 0.3)
 
 
-def test_unreflectable_families_return_none():
-    assert reflect_u(Amh(0.5)) is None
-    assert reflect_v(Amh(0.5)) is None
-    assert reflect_u(NumericFold(Amh(0.5), Gaussian(0.3))) is None
+def test_reflections_toggle_and_reach_the_outer_factor():
+    a = Amh(0.5)
+    assert reflect_u(a) == Reflected(a, True, False)
+    assert reflect_u(reflect_u(a)) == a
+    assert reflect_v(reflect_u(a)) == Reflected(a, True, True)
+    assert reflect_u(reflect_v(reflect_u(a))) == Reflected(a, False, True)
     # the outer-side factor is the one that reflects
-    out = reflect_v(NumericFold(Amh(0.5), Gaussian(0.3)))
-    assert isinstance(out, NumericFold)
-    assert out.right == Gaussian(-0.3)
+    f = NumericFold(a, Gaussian(0.3))
+    assert reflect_v(f) == NumericFold(a, Gaussian(-0.3))
+    assert reflect_u(f) == NumericFold(Reflected(a, True, False), Gaussian(0.3))
+    with pytest.raises(DomainError):
+        Reflected(a, False, False)
+    with pytest.raises(DomainError):
+        Reflected(a, 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -539,12 +549,15 @@ def test_density_entry_point_validates_the_open_square():
         density(Fgm(0.5), 0.5, 1.0)
 
 
-def test_numeric_fold_with_singular_factor_has_no_density():
-    bad = NumericFold(Frechet(0.6), Gaussian(0.5))
-    with pytest.raises(DensityUnavailableError):
-        density(bad, 0.5, 0.5)
-    with pytest.raises(UnsupportedCopulaError):
-        bad.cond_u_raw(np.array([0.5]), np.array([0.5]))
+def test_numeric_fold_rejects_a_singular_factor():
+    for left, right in ((Frechet(0.6), Gaussian(0.5)), (Gaussian(0.5), M),
+                        (Convex((0.5, 0.5), (Fgm(0.6), W)), Amh(0.5))):
+        with pytest.raises(DomainError):
+            NumericFold(left, right)
+    # a numeric_fold spec parses to the fold's closed form
+    spec = {"family": "numeric_fold", "left": {"family": "frechet", "theta": 0.6},
+            "right": {"family": "gaussian", "r": 0.5}}
+    assert from_dict(spec) == fold(Frechet(0.6), Gaussian(0.5))
 
 
 def test_rectangle_values_and_validation():
@@ -639,6 +652,16 @@ def test_bounds_and_independence_deserialize_to_the_singletons():
     assert to_dict(Mardia(1.0, 0.0)) == {"family": "mardia", "a": 1.0, "b": 0.0}
 
 
+def test_reflected_specs_apply_the_reflection():
+    amh = {"family": "amh", "theta": 0.5}
+    spec = {"family": "reflected", "base": amh, "flip_u": True, "flip_v": False}
+    assert from_dict(spec) == Reflected(Amh(0.5), True, False)
+    assert from_dict({**spec, "flip_u": False}) == Amh(0.5)
+    assert from_dict({**spec, "base": {"family": "fgm", "theta": 0.6}}) == Fgm(-0.6)
+    twice = {"family": "reflected", "base": spec, "flip_u": True, "flip_v": True}
+    assert from_dict(twice) == Reflected(Amh(0.5), False, True)
+
+
 def test_json_round_trip():
     c = Convex((0.6, 0.4), (Fgm(0.6), M))
     assert to_dict(from_json(to_json(c))) == to_dict(c)
@@ -653,5 +676,11 @@ def test_bad_specifications_raise_config_errors():
         from_dict({"family": "fgm"})  # missing theta
     with pytest.raises(ConfigError):
         from_dict({"family": ["fgm"]})
+    amh = {"family": "amh", "theta": 0.5}
+    for flags in ((1, 0), ("true", False), (None, True)):
+        with pytest.raises(ConfigError):
+            from_dict({"family": "reflected", "base": amh, "flip_u": flags[0], "flip_v": flags[1]})
+    with pytest.raises(ConfigError):
+        from_dict({"family": "reflected", "base": amh, "flip_u": True})
     with pytest.raises(ConfigError):
         from_json("{not json")

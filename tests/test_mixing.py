@@ -19,14 +19,15 @@ from copulamix.copulas import (
     Gaussian,
     Mardia,
     NumericFold,
+    Reflected,
     density_grid,
+    fold,
     n_fold,
     perturb_pi,
 )
-from copulamix import mixing
+from copulamix import copulas, mixing
 from copulamix.errors import DomainError
 from copulamix.mixing import (
-    EpsDecomposition,
     MixingVerdict,
     classify,
     corner_divergence_scan,
@@ -35,14 +36,14 @@ from copulamix.mixing import (
     lag_report,
     lag_reports,
     psi_prime_lower_bound,
-    verify_eps_decomposition,
 )
 
 from oracles import amh_density_range, fgm_density_range, iterated_density_grid, mardia_pi_weight
 
 V = MixingVerdict
 FRECHET_FGM = Convex((0.6, 0.4), (Frechet(0.6), Fgm(0.6)))
-# AMH has no closed-form reflection, so its folds against Frechet stay numeric
+# its lag-2 law holds AMH reflected by the W part of Frechet, and AMH folded
+# with AMH by quadrature
 FRECHET_AMH = Convex((0.6, 0.4), (Frechet(0.6), Amh(0.5)))
 
 
@@ -113,6 +114,13 @@ ENVELOPE_ORACLES = [
     (NumericFold(Amh(0.5), Fgm(0.3)),
      lambda n: (max(AMH_HALF[0], fgm_density_range(0.3, 1)[0]),
                 min(AMH_HALF[1], fgm_density_range(0.3, 1)[1]), False)),
+    # a reflected density takes the base's values
+    (Reflected(Amh(0.5), True, False), lambda n: (*AMH_HALF, False)),
+    (Reflected(Amh(0.5), False, True), lambda n: (*AMH_HALF, False)),
+    (Reflected(Amh(-1.0), True, True), lambda n: (*amh_density_range(-1.0), False)),
+    # Frechet(0.6) * AMH(0.5): 0.288 AMH + 0.072 reflected AMH + 0.64 Pi
+    (fold(Frechet(0.6), Amh(0.5)),
+     lambda n: (0.36 * AMH_HALF[0] + 0.64, 0.36 * AMH_HALF[1] + 0.64, False)),
     (_Opaque(), lambda n: (0.0, math.inf, False)),
 ]
 
@@ -188,39 +196,12 @@ def test_m_pi_combination_floor_is_the_pi_weight_of_its_power():
     assert psi_prime_lower_bound(c, 2, 32) == pytest.approx(0.75, abs=1e-15)
 
 
-def test_convex_floor_falls_back_to_a_product_term():
-    # the fold component has no density at all, so the bound is the envelope
-    # floor: the fold's own floor is its Frechet factor's Pi weight 0.64
-    hard = NumericFold(Frechet(0.6), Gaussian(0.5))
-    c = Convex((0.5, 0.5), (hard, PI))
-    assert psi_prime_lower_bound(c, 1, 32) == pytest.approx(0.5 * 0.64 + 0.5, abs=1e-15)
-
-
-# ---------------------------------------------------------------------------
-# additive decomposition
-# ---------------------------------------------------------------------------
-
-def test_eps_decomposition_certifies_the_fgm_floor():
-    m = 32
-    g = density_grid(Fgm(0.6), m)
-    half = float(g.values.min()) / 2.0
-    e = EpsDecomposition(np.full(m, half), np.full(m, half))
-    holds, total = verify_eps_decomposition(g, e)
-    assert holds
-    assert total == pytest.approx(2 * half, abs=1e-15)
-    too_big = EpsDecomposition(np.full(m, 0.9), np.full(m, 0.9))
-    holds, _ = verify_eps_decomposition(g, too_big)
-    assert not holds
-
-
-def test_eps_decomposition_validation():
-    g = density_grid(Fgm(0.6), 16)
-    with pytest.raises(DomainError):
-        verify_eps_decomposition(g, EpsDecomposition(np.ones(8), np.ones(8)))
-    with pytest.raises(DomainError):
-        EpsDecomposition(np.ones(8), -np.ones(8))
-    with pytest.raises(DomainError):
-        EpsDecomposition(np.full(8, np.nan), np.ones(8))
+def test_convex_floor_falls_back_to_a_product_term(monkeypatch):
+    # past the fold-depth cap the lag-2 law has no density grid, so the bound is
+    # the envelope floor: the weighted lag-1 floors, AMH(0.5)'s 0.5 and Pi's 1
+    monkeypatch.setattr(copulas, "MAX_NUMERIC_FOLD_DEPTH", 0)
+    c = Convex((0.5, 0.5), (Amh(0.5), PI))
+    assert psi_prime_lower_bound(c, 2, 32) == pytest.approx(0.5 * 0.5 + 0.5, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -271,22 +252,22 @@ def test_lag_report_flags_gaussian_growth():
     assert rep.psi_star_upper == math.inf
 
 
-def test_lag_report_survives_unavailable_densities():
-    # the floor is the envelope's: Frechet(0.6)'s Pi weight bounds the fold
-    rep = lag_report(NumericFold(Frechet(0.6), Gaussian(0.5)), 1, 16)
-    assert rep.psi_prime_lower == pytest.approx(0.64, abs=1e-15)
-    assert rep.psi_star_upper == math.inf
+def test_lag_report_survives_unavailable_densities(monkeypatch):
+    # a fold with a singular factor has a closed form, so its report is complete
+    rep = lag_report(fold(Frechet(0.6), Gaussian(0.5)), 1, 16)
     assert len(rep.corner_scan) == 7
-    assert not rep.complete
-    # the lag-3 fold holds AMH folded against Frechet, which has no closed-form
-    # reflection, so its corner mass has no quadrature; the report keeps the
-    # envelope floor, 0.6 * 0.64 + 0.4 * 0.5, and leaves the scan empty
-    rep = lag_report(FRECHET_AMH, 3, 8)
-    assert rep.corner_scan == ()
-    assert rep.psi_prime_lower == pytest.approx(0.584, abs=1e-15)
-    assert not rep.complete
-    assert lag_report(FRECHET_AMH, 1, 16).complete
+    assert rep.complete
+    assert lag_report(FRECHET_AMH, 2, 16).complete
     assert lag_report(Gaussian(0.5), 1, 64).complete  # unbounded, yet computed
+    # past the fold-depth cap the lag-2 law is never built: the report keeps
+    # the envelope floor, AMH(0.5)'s 0.5, and leaves the scan empty
+    monkeypatch.setattr(copulas, "MAX_NUMERIC_FOLD_DEPTH", 0)
+    rep = lag_report(Amh(0.5), 2, 8)
+    assert rep.psi_prime_lower == 0.5
+    assert rep.psi_star_upper == math.inf
+    assert rep.corner_scan == ()
+    assert not rep.complete
+    assert lag_report(Amh(0.5), 1, 16).complete
 
 
 @pytest.mark.parametrize("m, built", [
@@ -307,9 +288,9 @@ def test_unbounded_ladder_reuses_the_lag_grid(monkeypatch, m, built):
     assert rep.density_unbounded_evidence
 
 
-def test_an_unavailable_lag_density_is_tried_once(monkeypatch):
-    # the lag-2 Convex holds a NumericFold term with no density; the floor then
-    # is the closed-form envelope's, with no further grid
+def test_a_lag_density_grid_is_built_at_most_once(monkeypatch):
+    # one lag-2 grid gives the extrema and the floor; a lag past the fold-depth
+    # cap builds none, and its floor is the closed-form envelope's
     built = []
 
     def counting(c, res):
@@ -320,6 +301,12 @@ def test_an_unavailable_lag_density_is_tried_once(monkeypatch):
     rep = lag_report(FRECHET_AMH, 2, 16)
     assert built == ["Convex"]
     assert rep.psi_prime_lower == psi_prime_lower_bound(FRECHET_AMH, 2, 16) > 0.0
+    built.clear()
+    monkeypatch.setattr(copulas, "MAX_NUMERIC_FOLD_DEPTH", 0)
+    rep = lag_report(FRECHET_AMH, 2, 16)
+    assert built == []
+    assert rep.psi_prime_lower == psi_prime_lower_bound(FRECHET_AMH, 2, 16) > 0.0
+    assert rep.psi_prime_lower == mixing._envelope(FRECHET_AMH, 2)[0]
 
 
 def test_each_lag_is_folded_once(monkeypatch):
@@ -345,8 +332,9 @@ def test_each_lag_is_folded_once(monkeypatch):
         Convex((0.6, 0.4), (Fgm(0.6), M)),
         Convex((0.5, 0.3, 0.2), (Frechet(0.6), Fgm(0.6), PI)),
     )),
-    # no density at all: the floor comes from the envelope
-    (Convex((0.5, 0.5), (NumericFold(Frechet(0.6), Gaussian(0.5)), Fgm(0.6))), (1,)),
+    # a fold with a singular factor, in closed form, and a reflected AMH
+    (Convex((0.5, 0.5), (fold(Frechet(0.6), Gaussian(0.5)), Fgm(0.6))), (1,)),
+    (Reflected(Amh(0.5), True, False), (1, 2)),
 ], ids=repr)
 def test_lag_report_floor_is_psi_prime_lower_bound(c, lags):
     for n in lags:
@@ -496,6 +484,7 @@ UNBOUNDED = (V.NOT_PSI_STAR_MIXING, "unbounded-at-every-lag", True)
     (Convex((0.5, 0.5), (Gaussian(0.5), PI)), [FLOOR, UNBOUNDED]),
     (Convex((0.5, 0.5), (Gaussian(0.0), Fgm(0.6))), [ENVELOPE]),
     (NumericFold(Amh(0.5), Amh(0.5)), [ENVELOPE]),
+    (fold(Frechet(0.6), Amh(0.5)), [ENVELOPE]),
 ], ids=repr)
 def test_classify_findings_are_pinned(c, expected):
     assert [(f.verdict, f.rule, f.certified) for f in classify(c, 8).findings] == expected

@@ -13,15 +13,15 @@ from copulamix import (
     Frechet,
     Gaussian,
     Normal,
-    NumericFold,
     Perturbation,
     Uniform01,
     default_study_config,
     derive_seed,
     density_grid,
+    fold,
     replicate_robust_means,
 )
-from copulamix import mixing
+from copulamix import copulas, mixing
 from copulamix.study import (
     TABLE_LEVEL,
     axiom_check,
@@ -111,12 +111,12 @@ def test_mixing_report_set_shares_findings_across_lags():
     assert uppers[0] > uppers[1] > uppers[2]
 
 
-def test_mixing_report_set_is_incomplete_when_a_lag_lacks_its_density():
+def test_mixing_report_set_is_incomplete_when_a_lag_lacks_its_density(monkeypatch):
     cfg = _tiny(copulas=(("frechet_amh", Convex((0.6, 0.4), (Frechet(0.6), Amh(0.5)))),))
-    doc, complete = mixing_report_set(cfg, "frechet_amh", 1, 16)
+    doc, complete = mixing_report_set(cfg, "frechet_amh", 2, 16)
     assert complete
-    # the lag-2 fold holds AMH against Frechet, a numeric fold with a singular
-    # factor and no density
+    # with the fold-depth cap at 0, the lag-2 law (AMH folded with AMH) is not built
+    monkeypatch.setattr(copulas, "MAX_NUMERIC_FOLD_DEPTH", 0)
     doc, complete = mixing_report_set(cfg, "frechet_amh", 2, 16)
     assert not complete
     assert doc["reports"][1]["density_max"] == "inf"
@@ -124,8 +124,7 @@ def test_mixing_report_set_is_incomplete_when_a_lag_lacks_its_density():
 
 @pytest.mark.parametrize("n_max, attempts", [(3, 3), (1, 1)])
 def test_mixing_report_set_tries_each_lag_density_once(monkeypatch, n_max, attempts):
-    # the fold has no density at any lag: one attempt per lag, none repeated
-    # for the floor, which then comes from the closed-form envelope
+    # one grid per lag, none repeated for the floor
     built = []
 
     def counting(c, res):
@@ -133,10 +132,10 @@ def test_mixing_report_set_tries_each_lag_density_once(monkeypatch, n_max, attem
         return density_grid(c, res)
 
     monkeypatch.setattr(mixing, "density_grid", counting)
-    cfg = _tiny(copulas=(("hard", NumericFold(Frechet(0.6), Gaussian(0.5))),))
+    cfg = _tiny(copulas=(("hard", fold(Frechet(0.6), Gaussian(0.5))),))
     doc, complete = mixing_report_set(cfg, "hard", n_max, 16)
     assert len(built) == attempts
-    assert not complete
+    assert complete
     assert [r["n"] for r in doc["reports"]] == list(range(1, n_max + 1))
 
 
