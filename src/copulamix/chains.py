@@ -164,13 +164,23 @@ def apply_marginal(s: ChainSample, m: Marginal) -> ChainSample:
                        values=m.quantile(s.uniforms))
 
 
-def sample_iid_normal(n: int, seed: int) -> np.ndarray:
-    """I.i.d. standard normals by inverse CDF, on a stream of their own."""
+def iid_normal_matrix(n: int, seeds: Sequence[int]) -> np.ndarray:
+    """One i.i.d. standard normal sample per seed; returns shape (len(seeds), n).
+
+    Row i is bit-for-bit ``sample_iid_normal(n, seeds[i])``: the rows are
+    drawn from their own streams and pass through one quantile call.
+    """
     if n < 0:
         raise DomainError("sample size must be nonnegative")
-    if n == 0:
-        return np.empty(0)
-    return norm_ppf(open_uniform(stream(seed, NORMAL_STREAM), n))
+    u = np.empty((len(seeds), n))
+    for i, s in enumerate(seeds):
+        u[i] = open_uniform(stream(s, NORMAL_STREAM), n)
+    return norm_ppf(u)
+
+
+def sample_iid_normal(n: int, seed: int) -> np.ndarray:
+    """I.i.d. standard normals by inverse CDF, on a stream of their own."""
+    return iid_normal_matrix(n, [seed])[0]
 
 
 def chain_to_csv(s: ChainSample, path) -> None:

@@ -300,7 +300,8 @@ class Gaussian(Copula):
         return out.reshape(shape) if shape else out
 
     def cond_u_inv_raw(self, u, w):
-        z = self.r * norm_ppf(u) + math.sqrt(1.0 - self.r * self.r) * norm_ppf(w)
+        x, y = norm_ppf(np.stack(np.broadcast_arrays(u, w)))  # one quantile pass for both
+        z = self.r * x + math.sqrt(1.0 - self.r * self.r) * y
         return np.clip(norm_cdf(z), _U_LO, _U_HI)
 
 

@@ -15,13 +15,14 @@ rescaling is calibrated to exactly this convention.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .chains import Marginal, sample_iid_normal, uniform_chain_matrix
+from .chains import Marginal, iid_normal_matrix, uniform_chain_matrix
 from .copulas import Copula
 from .errors import DegenerateSampleError, DomainError
 from .normal import norm_ppf
@@ -29,8 +30,13 @@ from .rng import derive_seed
 
 # Memory for one batch of chains: three float64 values per row and step (path,
 # state, selector).  It holds 279 rows at n = 20000, so every cell of the
-# shipped study is one batch.
+# shipped study is one batch.  The rows of a batch then go through the
+# marginal's quantile and get their auxiliary normals in blocks of
+# _BLOCK_ELEMS values: 16 rows at n = 2000, one row from n = 16385 on.  A
+# block is large enough that the quantile's fixed cost per call fades and
+# small enough that its temporaries stay in cache.
 BATCH_BYTES = 128 * 2 ** 20
+_BLOCK_ELEMS = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -106,7 +112,7 @@ def robust_mean(y: Sequence[float], x: Sequence[float], level: float = 0.95) -> 
     h = bandwidth(ya)
     r_tilde = float(np.sum(ya * np.exp(-0.5 * (xa / h) ** 2))) / (n * h)
     mu_hat = r_tilde * math.sqrt(1.0 + h * h)
-    z = float(norm_ppf(1.0 - (1.0 - level) / 2.0))
+    z = _z(float(level))
     mean_y_sq = float(np.mean(ya * ya))
     return RobustMeanResult(
         n=n,
@@ -117,6 +123,12 @@ def robust_mean(y: Sequence[float], x: Sequence[float], level: float = 0.95) -> 
         z=z,
         mean_y_sq=mean_y_sq,
     )
+
+
+@functools.lru_cache(maxsize=None)
+def _z(level: float) -> float:
+    """Two-sided normal critical value of a confidence level, computed once per level."""
+    return float(norm_ppf(1.0 - (1.0 - level) / 2.0))
 
 
 def coverage_rate(results: Sequence[RobustMeanResult], mu: float) -> float:
@@ -141,20 +153,23 @@ def replicate_robust_means(
     if reps < 1:
         raise DomainError("need at least one replication")
     out = []
-    for seeds, umat in _chain_batches(c, n, reps, seed):
-        for row, s in enumerate(seeds):
-            y = m.quantile(umat[row])
-            x = sample_iid_normal(n, s)
-            out.append(robust_mean(y, x, level))
+    for seeds, umat in _row_blocks(c, n, reps, seed):
+        ys = m.quantile(umat)
+        xs = iid_normal_matrix(n, seeds)
+        out.extend(robust_mean(y, x, level) for y, x in zip(ys, xs))
     return out
 
 
-def _chain_batches(c: Copula, n: int, reps: int, seed: int):
-    """(seeds, uniform chains) of replications 0..reps-1, in batches that fit BATCH_BYTES."""
+def _row_blocks(c: Copula, n: int, reps: int, seed: int):
+    """(seeds, uniform chains) of replications 0..reps-1, simulated in batches
+    that fit BATCH_BYTES and handed out in blocks of _BLOCK_ELEMS values."""
     batch = max(1, min(reps, BATCH_BYTES // (3 * 8 * max(n, 1))))
+    block = max(1, _BLOCK_ELEMS // max(n, 1))
     for start in range(0, reps, batch):
         seeds = [derive_seed(seed, r) for r in range(start, min(start + batch, reps))]
-        yield seeds, uniform_chain_matrix(c, n, seeds)
+        umat = uniform_chain_matrix(c, n, seeds)
+        for b in range(0, len(seeds), block):
+            yield seeds[b:b + block], umat[b:b + block]
 
 
 def coverage_experiment(
@@ -189,9 +204,9 @@ def variance_diagnostic(
     nvar = []
     nhvar = []
     for n in sizes:
-        # per row, as in replicate_robust_means: no batch-sized quantile temporaries
-        means = [m.quantile(row).mean() for _, umat in _chain_batches(c, n, reps, seed)
-                 for row in umat]
+        # one quantile call per block, one mean per row as in replicate_robust_means
+        means = [row.mean() for _, umat in _row_blocks(c, n, reps, seed)
+                 for row in m.quantile(umat)]
         v = float(np.var(means, ddof=1))
         nvar.append(n * v)
         nhvar.append(n * population_bandwidth(m, n) * v)

@@ -145,30 +145,30 @@ def figure_data(cfg: ExperimentConfig, figure_id: int, out_dir) -> list:
     copulas with their shifts toward independence; figures 2 and 3 are length
     500 chains from the same bases under every declared perturbation.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-    if figure_id in (1, 4):
-        name, base = _figure_base(cfg, 0 if figure_id == 1 else 2)
+    if figure_id not in (1, 2, 3, 4):
+        raise ConfigError(f"unknown figure id {figure_id}; known ids are 1, 2, 3, 4")
+    name, base = _figure_base(cfg, 0 if figure_id in (1, 2) else 2)
+    surface = figure_id in (1, 4)
+    if surface:
         p = _first_pi(cfg)
         variants = [(name, base), (f"{name}-{p.suffix}", p.apply(base))]
-        for label, c in variants:
-            path = out / f"figure{figure_id}_{_safe_name(label)}_surface.csv"
-            surface_to_csv(c, path)
-            written.append(path)
-    elif figure_id in (2, 3):
-        name, base = _figure_base(cfg, 0 if figure_id == 2 else 2)
+    else:
         variants = [(name, base)]
         variants += [(f"{name}-{p.suffix}", p.apply(base)) for p in cfg.perturbations]
         fig_seed = derive_seed(cfg.seed, _FIGURE_SEED_SPACE + figure_id)
-        for idx, (label, c) in enumerate(variants):
-            seed = derive_seed(fig_seed, idx)
-            chain = apply_marginal(sample_chain(c, FIGURE_CHAIN_LENGTH, seed), cfg.marginal)
+    # the directory is made only once the call is known to be valid
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    written = []
+    for idx, (label, c) in enumerate(variants):
+        if surface:
+            path = out / f"figure{figure_id}_{_safe_name(label)}_surface.csv"
+            surface_to_csv(c, path)
+        else:
+            chain = sample_chain(c, FIGURE_CHAIN_LENGTH, derive_seed(fig_seed, idx))
             path = out / f"figure{figure_id}_{_safe_name(label)}_chain.csv"
-            chain_to_csv(chain, path)
-            written.append(path)
-    else:
-        raise ConfigError(f"unknown figure id {figure_id}; known ids are 1, 2, 3, 4")
+            chain_to_csv(apply_marginal(chain, cfg.marginal), path)
+        written.append(path)
     return written
 
 

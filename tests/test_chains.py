@@ -13,6 +13,7 @@ from copulamix.chains import (
     _plan,
     apply_marginal,
     chain_to_csv,
+    iid_normal_matrix,
     sample_chain,
     sample_iid_normal,
     uniform_chain_matrix,
@@ -265,6 +266,18 @@ def test_sample_iid_normal_moments_and_determinism():
     assert x.mean() == pytest.approx(0.0, abs=0.02)
     assert x.std() == pytest.approx(1.0, abs=0.02)
     assert sample_iid_normal(0, 81).size == 0
+
+
+def test_iid_normal_matrix_rows_are_the_single_samples_bitwise():
+    seeds = [derive_seed(17, r) for r in range(5)]
+    mat = iid_normal_matrix(300, seeds)
+    assert mat.shape == (5, 300)
+    for s, row in zip(seeds, mat):
+        assert row.tobytes() == sample_iid_normal(300, s).tobytes()
+    assert iid_normal_matrix(0, seeds).shape == (5, 0)
+    assert iid_normal_matrix(300, []).shape == (0, 300)
+    with pytest.raises(DomainError):
+        iid_normal_matrix(-1, seeds)
 
 
 def test_chain_csv_format(tmp_path):

@@ -7,22 +7,34 @@ from hypothesis import given, strategies as st
 
 from copulamix.chains import Normal
 from copulamix.errors import DomainError
-from copulamix.normal import _P_LOW, _rational_central, _rational_tail, norm_cdf, norm_pdf, norm_ppf
+from copulamix.normal import _A, _B, _C, _D, _P_LOW, norm_cdf, norm_pdf, norm_ppf
+from copulamix.rng import NORMAL_STREAM, open_uniform, stream
 
 
 def masked_ppf(p):
     """The quantile computed branch by branch through boolean indexing.
 
-    norm_ppf selects with np.where instead; each element goes through the
-    same operations either way, so the two must agree bit for bit.
+    The rational branches are written out here as nested Horner expressions
+    rather than imported, so this reference shares no arithmetic with
+    norm_ppf.  norm_ppf runs the central branch on every element and
+    overwrites the tail elements, folds with a minimum and steps in place;
+    each element goes through the same operations either way, so the two
+    must agree bit for bit.
     """
     q = np.array(p, dtype=float)
     upper = q > 0.5
     q[upper] = 1.0 - q[upper]
     x = np.empty_like(q)
     low = q < _P_LOW
-    x[~low] = _rational_central(q[~low] - 0.5)
-    x[low] = _rational_tail(np.sqrt(-2.0 * np.log(q[low])))
+    c = q[~low] - 0.5
+    r = c * c
+    num = ((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]
+    den = ((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0
+    x[~low] = c * num / den
+    t = np.sqrt(-2.0 * np.log(q[low]))
+    num = ((((_C[0] * t + _C[1]) * t + _C[2]) * t + _C[3]) * t + _C[4]) * t + _C[5]
+    den = (((_D[0] * t + _D[1]) * t + _D[2]) * t + _D[3]) * t + 1.0
+    x[low] = num / den
     pdf = norm_pdf(x)
     err = norm_cdf(x) - q
     x = x - np.where(pdf > 0.0, err / np.where(pdf > 0.0, pdf, 1.0), 0.0)
@@ -42,15 +54,27 @@ def test_ppf_matches_scipy_across_the_open_interval():
 
 def test_ppf_equals_the_branchwise_reference_bit_for_bit():
     tail = np.geomspace(1e-15, 0.5, 20_001)
+    # the branch cut, its mirror and the fold point, with both neighbours
+    edges = [np.nextafter(e, to) for e in (_P_LOW, 1.0 - _P_LOW, 0.5) for to in (0.0, e, 1.0)]
     p = np.concatenate([
         np.random.default_rng(7).random(1_000_000),
+        open_uniform(stream(11, NORMAL_STREAM), 1_000_000),  # the lattice chains draw from
         tail,
         1.0 - tail[:-1],
-        [_P_LOW, np.nextafter(_P_LOW, 0.0), 1.0 - _P_LOW, np.nextafter(0.5, 1.0)],
+        edges,
+        [5e-324, 1e-320, 1e-300],  # subnormal and tiny: the smallest pdf values
     ])
     assert norm_ppf(p).tobytes() == masked_ppf(p).tobytes()
-    for s in (1e-15, 0.3, 0.5, 0.975, 1.0 - 1e-15):
+    for s in (1e-15, 0.3, 0.5, 0.975, 1.0 - 1e-15, 5e-324, *edges):
         assert norm_ppf(s) == masked_ppf([s])[0]
+    # a block of rows, as the estimator passes it: each row gets the bits a
+    # call on that row alone gives
+    block = open_uniform(stream(12, NORMAL_STREAM), (16, 2000))
+    x = norm_ppf(block)
+    assert x.shape == (16, 2000)
+    assert x.tobytes() == masked_ppf(block).tobytes()
+    for row, xr in zip(block, x):
+        assert norm_ppf(row).tobytes() == xr.tobytes()
 
 
 def test_ppf_frozen_value():

@@ -11,14 +11,17 @@ from copulamix import robust
 from copulamix import (
     PI,
     M,
+    Amh,
     Convex,
     DegenerateSampleError,
     DomainError,
     Fgm,
+    Gaussian,
     Normal,
     Uniform01,
     bandwidth,
     coverage_experiment,
+    default_study_config,
     derive_seed,
     population_bandwidth,
     replicate_robust_means,
@@ -103,6 +106,8 @@ def test_interval_is_symmetric_with_the_stated_half_width():
     assert res.ci_hi - res.mu_hat == pytest.approx(half, rel=1e-12)
     assert res.mu_hat - res.ci_lo == pytest.approx(half, rel=1e-12)
     assert res.z == pytest.approx(1.959963984540054, abs=1e-12)
+    # a 0-d array level is accepted and gives the same critical value
+    assert robust_mean(y, x, level=np.array(0.95)).z == res.z
 
 
 def test_zero_kernel_argument_recovers_weighted_average():
@@ -220,6 +225,54 @@ def test_shipped_study_cell_is_one_batch(monkeypatch):
     with pytest.raises(FirstBatch) as info:
         replicate_robust_means(Fgm(0.6), Uniform01(), 20_000, 200, 0.95, seed=1)
     assert info.value.args == (200,)
+
+
+BLOCK_COPULAS = (
+    ("fgm", Fgm(0.6)),
+    ("frechet_fgm", dict(default_study_config().copulas)["frechet_fgm"]),
+    ("gaussian", Gaussian(0.5)),
+    ("amh", Amh(0.5)),
+)
+BLOCK_MARGINALS = (("normal", Normal(30.0, 1.0)), ("uniform", Uniform01()))
+
+
+def _hex_fields(r):
+    return [float(v).hex() for v in (r.n, r.h, r.r_tilde, r.mu_hat, r.half_width, r.z, r.mean_y_sq)]
+
+
+@pytest.mark.parametrize("m", [m for _, m in BLOCK_MARGINALS], ids=[k for k, _ in BLOCK_MARGINALS])
+@pytest.mark.parametrize("c", [c for _, c in BLOCK_COPULAS], ids=[k for k, _ in BLOCK_COPULAS])
+@pytest.mark.parametrize("n", [200, robust._BLOCK_ELEMS // 2 + 1], ids=["blocks", "one-row"])
+def test_blocked_estimates_equal_the_per_row_loop_bit_for_bit(c, m, n, monkeypatch):
+    # one full quantile block and a partial one of 3 rows; from
+    # n = _BLOCK_ELEMS // 2 + 1 on a block is one row
+    block = max(1, robust._BLOCK_ELEMS // n)
+    reps, seed = block + 3, 2718
+    batches = []
+    original = robust.uniform_chain_matrix
+
+    def recording(c, n, seeds):
+        batches.append((list(seeds), original(c, n, seeds)))
+        return batches[-1][1]
+
+    monkeypatch.setattr(robust, "uniform_chain_matrix", recording)
+    results = replicate_robust_means(c, m, n, reps, 0.95, seed)
+    assert len(results) == reps
+    [(seeds, umat)] = batches
+    assert seeds == [derive_seed(seed, r) for r in range(reps)]
+    for r, (s, row) in enumerate(zip(seeds, umat)):
+        ref = robust_mean(m.quantile(row), sample_iid_normal(n, s), 0.95)
+        assert _hex_fields(results[r]) == _hex_fields(ref), r
+
+
+def test_variance_diagnostic_equals_its_per_row_form():
+    c, m, sizes, seed = dict(BLOCK_COPULAS)["frechet_fgm"], Normal(30.0, 1.0), (100, 200), 6
+    reps = robust._BLOCK_ELEMS // sizes[-1] + 3
+    diag = variance_diagnostic(c, m, sizes, reps, seed)
+    for n, nv, nhv in zip(sizes, diag.nvar, diag.nhvar):
+        umat = uniform_chain_matrix(c, n, [derive_seed(seed, r) for r in range(reps)])
+        v = float(np.var([m.quantile(row).mean() for row in umat], ddof=1))
+        assert (nv.hex(), nhv.hex()) == ((n * v).hex(), (n * population_bandwidth(m, n) * v).hex())
 
 
 def test_replication_count_validation():

@@ -175,15 +175,17 @@ def test_figure_data_is_deterministic(tmp_path):
         assert pa.read_bytes() == pb.read_bytes()
 
 
-def test_figure_data_guards():
+def test_figure_data_guards(tmp_path):
+    out = tmp_path / "out"
     cfg = _tiny()
     with pytest.raises(ConfigError):
-        figure_data(cfg, 7, "ignored")
+        figure_data(cfg, 7, out)
     with pytest.raises(ConfigError):
-        figure_data(cfg, 3, "ignored")  # needs a third declared copula
+        figure_data(cfg, 3, out)  # needs a third declared copula
     no_pi = _tiny(perturbations=(Perturbation("m", 0.7),))
     with pytest.raises(ConfigError):
-        figure_data(no_pi, 1, "ignored")
+        figure_data(no_pi, 1, out)
+    assert not out.exists()  # a rejected call leaves no directory behind
 
 
 def test_figure_data_third_copula(tmp_path):
