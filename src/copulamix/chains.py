@@ -5,10 +5,14 @@ CDF of the driving copula: given the previous state u and a fresh uniform w,
 the next state is the root v of ``conditional_cdf(c, u, v) = w``.  Each leaf
 family owns that root as ``cond_u_inv_raw``: closed forms for Pi, M, W,
 Gaussian, FGM and AMH, the base's root for a reflection, bisection for
-numeric folds.  A chain plans its step
-once.  Convex combinations and Mardia mixtures (a fresh draw, a copy or a flip
-of the state) share one mixture rule: a dedicated selector stream gives one
-draw per step, every part steps, and the draw picks one part's result.
+numeric folds.  A chain plans its step once.  A leaf family turns a whole
+matrix of draws into paths with ``chain_raw``, which steps ``cond_u_inv_raw``
+unless the family overrides it: a Gaussian chain is an AR(1) in normal
+scores.  Convex combinations and Mardia mixtures (a fresh draw, a copy or a
+flip of the state) share one mixture rule: a dedicated selector stream gives
+one draw per step, every part steps through ``cond_u_inv_raw``, and the draw
+picks one part's result.  A part's state may come from another part, so a
+Gaussian part steps too.
 
 All chains are stationary from the first step, so no burn-in is performed.
 """
@@ -24,7 +28,7 @@ import numpy as np
 from .copulas import PI, M, W, Convex, Copula, Mardia
 from .errors import DomainError
 from .normal import norm_ppf
-from .rng import CHAIN_STREAM, NORMAL_STREAM, SELECTOR_STREAM, open_uniform, stream
+from .rng import CHAIN_STREAM, NORMAL_STREAM, SELECTOR_STREAM, open_uniform_rows
 
 
 @dataclass(frozen=True)
@@ -129,24 +133,21 @@ def uniform_chain_matrix(c: Copula, n: int, seeds: Sequence[int]) -> np.ndarray:
     """Simulate one uniform chain per seed; returns an array of shape (len(seeds), n).
 
     Row i is bit-for-bit the chain that ``sample_chain(c, n, seeds[i])``
-    returns, so batch and single-chain runs agree exactly.
+    returns, so batch and single-chain runs agree exactly.  The chain draws
+    become the states in place: a leaf family turns them into its path with
+    ``chain_raw``, a mixture steps its parts.
     """
     if n < 1:
         raise DomainError("chain length must be at least 1")
     k, plan = _plan(c)
     seeds = [int(s) for s in seeds]
-    rows = len(seeds)
-    path = np.empty((rows, n))
-    for i, s in enumerate(seeds):
-        path[i] = open_uniform(stream(s, CHAIN_STREAM), n)
-    sel = np.empty((rows, n - 1, k))
-    if k:
-        for i, s in enumerate(seeds):
-            sel[i] = open_uniform(stream(s, SELECTOR_STREAM), (n - 1) * k).reshape(n - 1, k)
-    u = np.empty((rows, n))
-    u[:, 0] = path[:, 0]
+    u = open_uniform_rows(seeds, CHAIN_STREAM, n)
+    if not k:
+        c.chain_raw(u)
+        return u
+    sel = open_uniform_rows(seeds, SELECTOR_STREAM, (n - 1) * k).reshape(len(seeds), n - 1, k)
     for t in range(1, n):
-        u[:, t] = _step(plan, u[:, t - 1], path[:, t], sel[:, t - 1])
+        u[:, t] = _step(plan, u[:, t - 1], u[:, t], sel[:, t - 1])
     return u
 
 
@@ -168,14 +169,12 @@ def iid_normal_matrix(n: int, seeds: Sequence[int]) -> np.ndarray:
     """One i.i.d. standard normal sample per seed; returns shape (len(seeds), n).
 
     Row i is bit-for-bit ``sample_iid_normal(n, seeds[i])``: the rows are
-    drawn from their own streams and pass through one quantile call.
+    drawn from their own streams as one matrix and pass through one quantile
+    call.
     """
     if n < 0:
         raise DomainError("sample size must be nonnegative")
-    u = np.empty((len(seeds), n))
-    for i, s in enumerate(seeds):
-        u[i] = open_uniform(stream(s, NORMAL_STREAM), n)
-    return norm_ppf(u)
+    return norm_ppf(open_uniform_rows(seeds, NORMAL_STREAM, n))
 
 
 def sample_iid_normal(n: int, seed: int) -> np.ndarray:

@@ -44,7 +44,7 @@ from .errors import (
     FoldDepthError,
     UnsupportedCopulaError,
 )
-from .normal import norm_cdf, norm_ppf
+from .normal import BLOCK_ELEMS, norm_cdf, norm_ppf
 from .quadrature import unit_rule
 from .rootfind import invert_increasing
 
@@ -58,6 +58,7 @@ _CHUNK_BUDGET = 1 << 21  # max elements * quadrature nodes held at once
 # are exactly representable and match the extremes of the uniform lattice
 _U_LO = 0.5 ** 53
 _U_HI = 1.0 - 0.5 ** 53
+_Z_LO, _Z_HI = norm_ppf(_U_LO), norm_ppf(_U_HI)  # their normal scores
 
 
 def _prep(u, v):
@@ -104,6 +105,17 @@ class Copula:
         """
         root = invert_increasing(lambda v: self.cond_u_raw(u, v), w)
         return np.clip(root, _U_LO, _U_HI)
+
+    def chain_raw(self, w):
+        """Turn a (rows, n) matrix of uniform draws into chain paths, in place.
+
+        Column 0 holds each chain's start and stays.  Column t holds the draw
+        of step t and becomes the state after it.  The base rule steps
+        ``cond_u_inv_raw``; a family whose paths have a closed form over many
+        steps overrides it.
+        """
+        for t in range(1, w.shape[1]):
+            w[:, t] = self.cond_u_inv_raw(w[:, t - 1], w[:, t])
 
     # -- structure --
 
@@ -303,6 +315,32 @@ class Gaussian(Copula):
         x, y = norm_ppf(np.stack(np.broadcast_arrays(u, w)))  # one quantile pass for both
         z = self.r * x + math.sqrt(1.0 - self.r * self.r) * y
         return np.clip(norm_cdf(z), _U_LO, _U_HI)
+
+    def chain_raw(self, w):
+        """The chain as an AR(1) in normal scores: z_t = r z_(t-1) + sqrt(1 - r^2) Phi^-1(w_t).
+
+        The step rule maps every state back to its score; here the score
+        carries over, clipped to the scores of the state bounds as the step
+        rule's states are.  So each block of about BLOCK_ELEMS draws takes one
+        quantile pass and one CDF pass, and each step in it a product, a sum
+        and the clip.  The states differ from the step rule's by the
+        quantile's round trip, a few 1e-13, except after a state within about
+        1e-6 of 1, where the step rule's own score loses digits.
+        """
+        rows, n = w.shape
+        if not rows or n < 2:
+            return
+        r, s = self.r, math.sqrt(1.0 - self.r * self.r)
+        z = norm_ppf(w[:, 0])
+        span = max(1, BLOCK_ELEMS // rows)
+        for a in range(1, n, span):
+            scores = norm_ppf(w[:, a:a + span].T.copy())  # a row per step, contiguous
+            scores *= s
+            for zt in scores:
+                zt += r * z
+                np.clip(zt, _Z_LO, _Z_HI, out=zt)
+                z = zt
+            w[:, a:a + span] = np.clip(norm_cdf(scores), _U_LO, _U_HI).T
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,10 @@ _D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
       3.754408661907416e+00)
 _P_LOW = 0.02425
 
+# Values per quantile call that block callers aim for: large enough that the
+# fixed cost per call fades, small enough that the temporaries stay in cache.
+BLOCK_ELEMS = 2 ** 15
+
 
 def norm_cdf(x):
     """CDF of the standard normal distribution."""

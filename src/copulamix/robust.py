@@ -25,18 +25,17 @@ import numpy as np
 from .chains import Marginal, iid_normal_matrix, uniform_chain_matrix
 from .copulas import Copula
 from .errors import DegenerateSampleError, DomainError
-from .normal import norm_ppf
+from .normal import BLOCK_ELEMS, norm_ppf
 from .rng import derive_seed
 
-# Memory for one batch of chains: three float64 values per row and step (path,
-# state, selector).  It holds 279 rows at n = 20000, so every cell of the
-# shipped study is one batch.  The rows of a batch then go through the
-# marginal's quantile and get their auxiliary normals in blocks of
-# _BLOCK_ELEMS values: 16 rows at n = 2000, one row from n = 16385 on.  A
-# block is large enough that the quantile's fixed cost per call fades and
-# small enough that its temporaries stay in cache.
+# Memory for one batch of chains at three float64 values per row and step:
+# the chain draws, which the states overwrite in place, and up to two selector
+# draws (the shipped frechet_fgm mixture takes two a step).  It holds 279 rows
+# at n = 20000, so every cell of the shipped study is one batch.  The rows of
+# a batch then go through the marginal's quantile, get their auxiliary normals
+# and their estimates in blocks of BLOCK_ELEMS values: 16 rows at n = 2000,
+# one row from n = 16385 on.
 BATCH_BYTES = 128 * 2 ** 20
-_BLOCK_ELEMS = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -87,15 +86,18 @@ def bandwidth(y: Sequence[float]) -> float:
     mean = float(arr.mean())
     if mean == 0.0:
         raise DegenerateSampleError("bandwidth undefined: sample mean is zero")
-    mean_sq = float(np.mean(arr * arr))
-    return (mean_sq / (arr.size * math.sqrt(2.0) * mean * mean)) ** 0.2
+    return _width(mean, float(np.mean(arr * arr)), arr.size)
 
 
 def population_bandwidth(m: Marginal, n: int) -> float:
     """Bandwidth from the marginal's population moments instead of a sample."""
     if m.mean == 0.0:
         raise DegenerateSampleError("bandwidth undefined: population mean is zero")
-    return (m.mean_sq / (n * math.sqrt(2.0) * m.mean * m.mean)) ** 0.2
+    return _width(m.mean, m.mean_sq, n)
+
+
+def _width(mean: float, mean_sq: float, n: int) -> float:
+    return (mean_sq / (n * math.sqrt(2.0) * mean * mean)) ** 0.2
 
 
 def robust_mean(y: Sequence[float], x: Sequence[float], level: float = 0.95) -> RobustMeanResult:
@@ -104,31 +106,60 @@ def robust_mean(y: Sequence[float], x: Sequence[float], level: float = 0.95) -> 
     xa = np.asarray(x, dtype=float)
     if ya.shape != xa.shape or ya.ndim != 1:
         raise DomainError("y and x must be 1-d samples of equal length")
-    if not np.all(np.isfinite(xa)):  # bandwidth checks y
-        raise DomainError("x must be a finite sample")
-    if not 0.0 < level < 1.0:
-        raise DomainError("confidence level must lie in (0, 1)")
-    n = ya.size
-    h = bandwidth(ya)
-    r_tilde = float(np.sum(ya * np.exp(-0.5 * (xa / h) ** 2))) / (n * h)
-    mu_hat = r_tilde * math.sqrt(1.0 + h * h)
-    z = _z(float(level))
-    mean_y_sq = float(np.mean(ya * ya))
-    return RobustMeanResult(
-        n=n,
-        h=h,
-        r_tilde=r_tilde,
-        mu_hat=mu_hat,
-        half_width=z * math.sqrt(mean_y_sq / (n * h * math.sqrt(2.0))),
-        z=z,
-        mean_y_sq=mean_y_sq,
-    )
+    return _estimates(ya[None], xa[None], _z(float(level)))[0]
 
 
 @functools.lru_cache(maxsize=None)
 def _z(level: float) -> float:
-    """Two-sided normal critical value of a confidence level, computed once per level."""
+    """Two-sided normal critical value of a level in (0, 1), computed once per level."""
+    if not 0.0 < level < 1.0:
+        raise DomainError("confidence level must lie in (0, 1)")
     return float(norm_ppf(1.0 - (1.0 - level) / 2.0))
+
+
+def _estimates(ys: np.ndarray, xs: np.ndarray, z: float) -> list:
+    """One RobustMeanResult per row of ys, with its auxiliary normals in the same row of xs.
+
+    The row reductions run once on the block; the bandwidth and the interval
+    are Python floats per row, so row i gets the bits a block of row i alone
+    would.  The first row with a fault raises, as a loop over the rows would.
+    """
+    n = ys.shape[1]
+    if n < 1:
+        raise DomainError("bandwidth needs a nonempty 1-d sample")
+    bad_x = ~np.isfinite(xs).all(axis=1)
+    bad_y = ~np.isfinite(ys).all(axis=1)
+    with np.errstate(invalid="ignore"):  # inf - inf in a row that raises below
+        means = ys.mean(axis=1)
+    bad = bad_x | bad_y | (means == 0.0)
+    if bad.any():
+        i = int(bad.argmax())
+        if bad_x[i]:
+            raise DomainError("x must be a finite sample")
+        if bad_y[i]:
+            raise DomainError("bandwidth needs a finite sample")
+        raise DegenerateSampleError("bandwidth undefined: sample mean is zero")
+    mean_sqs = (ys * ys).mean(axis=1).tolist()
+    hs = [_width(mean, mean_sq, n) for mean, mean_sq in zip(means.tolist(), mean_sqs)]
+    kernel = xs / np.array(hs)[:, None]
+    np.square(kernel, out=kernel)
+    kernel *= -0.5
+    np.exp(kernel, out=kernel)
+    kernel *= ys
+    sums = kernel.sum(axis=1).tolist()
+    out = []
+    for h, total, mean_y_sq in zip(hs, sums, mean_sqs):
+        r_tilde = total / (n * h)
+        out.append(RobustMeanResult(
+            n=n,
+            h=h,
+            r_tilde=r_tilde,
+            mu_hat=r_tilde * math.sqrt(1.0 + h * h),
+            half_width=z * math.sqrt(mean_y_sq / (n * h * math.sqrt(2.0))),
+            z=z,
+            mean_y_sq=mean_y_sq,
+        ))
+    return out
 
 
 def coverage_rate(results: Sequence[RobustMeanResult], mu: float) -> float:
@@ -152,19 +183,18 @@ def replicate_robust_means(
     """
     if reps < 1:
         raise DomainError("need at least one replication")
+    z = _z(float(level))
     out = []
     for seeds, umat in _row_blocks(c, n, reps, seed):
-        ys = m.quantile(umat)
-        xs = iid_normal_matrix(n, seeds)
-        out.extend(robust_mean(y, x, level) for y, x in zip(ys, xs))
+        out += _estimates(m.quantile(umat), iid_normal_matrix(n, seeds), z)
     return out
 
 
 def _row_blocks(c: Copula, n: int, reps: int, seed: int):
     """(seeds, uniform chains) of replications 0..reps-1, simulated in batches
-    that fit BATCH_BYTES and handed out in blocks of _BLOCK_ELEMS values."""
+    that fit BATCH_BYTES and handed out in blocks of BLOCK_ELEMS values."""
     batch = max(1, min(reps, BATCH_BYTES // (3 * 8 * max(n, 1))))
-    block = max(1, _BLOCK_ELEMS // max(n, 1))
+    block = max(1, BLOCK_ELEMS // max(n, 1))
     for start in range(0, reps, batch):
         seeds = [derive_seed(seed, r) for r in range(start, min(start + batch, reps))]
         umat = uniform_chain_matrix(c, n, seeds)
@@ -204,9 +234,8 @@ def variance_diagnostic(
     nvar = []
     nhvar = []
     for n in sizes:
-        # one quantile call per block, one mean per row as in replicate_robust_means
-        means = [row.mean() for _, umat in _row_blocks(c, n, reps, seed)
-                 for row in m.quantile(umat)]
+        means = np.concatenate([m.quantile(umat).mean(axis=1)
+                                for _, umat in _row_blocks(c, n, reps, seed)])
         v = float(np.var(means, ddof=1))
         nvar.append(n * v)
         nhvar.append(n * population_bandwidth(m, n) * v)

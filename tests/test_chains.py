@@ -34,7 +34,7 @@ from copulamix.copulas import (
     fold,
 )
 from copulamix.errors import DomainError
-from copulamix.rng import derive_seed
+from copulamix.rng import CHAIN_STREAM, SELECTOR_STREAM, derive_seed, open_uniform_rows
 from oracles import amh_transition_root
 
 SAMPLEABLE = (
@@ -134,6 +134,61 @@ def test_gaussian_chain_recovers_the_score_correlation():
     z = scipy.stats.norm.ppf(u)
     rho = np.corrcoef(z[:-1], z[1:])[0, 1]
     assert rho == pytest.approx(r, abs=0.02)
+
+
+def _step_rule(c, draws):
+    """The chain of every row of draws, one cond_u_inv_raw call per step."""
+    u = draws.copy()
+    for t in range(1, u.shape[1]):
+        u[:, t] = c.cond_u_inv_raw(u[:, t - 1], u[:, t])
+    return u
+
+
+@pytest.mark.parametrize("r", (-0.999, -0.9, 0.5, 0.9, 0.99))
+def test_gaussian_score_path_follows_the_step_rule(r):
+    # 40 rows of 2000 steps span three step blocks
+    seeds = [derive_seed(77, i) for i in range(40)]
+    draws = open_uniform_rows(seeds, CHAIN_STREAM, 2000)
+    u = uniform_chain_matrix(Gaussian(r), 2000, seeds)
+    ref = _step_rule(Gaussian(r), draws)
+    assert u[:, 0].tobytes() == draws[:, 0].tobytes()
+    assert np.max(np.abs(u - ref)) <= 1e-11
+    assert u.min() >= _LO and u.max() <= _HI
+
+
+def test_gaussian_score_path_clips_at_the_state_bounds():
+    # ten extreme draws push the score past the bounds' scores; the step rule
+    # restarts from the clipped state, so the score path must too.  Near 1 a
+    # state keeps only absolute precision and the step rule's scores lose
+    # digits, so the upper row is checked as the mirror of the lower one.
+    draws = np.full((2, 60), 0.5)
+    draws[0, :11], draws[1, :11] = _LO, _HI
+    u = draws.copy()
+    Gaussian(0.9).chain_raw(u)
+    assert np.max(np.abs(u[0] - _step_rule(Gaussian(0.9), draws[:1])[0])) <= 1e-11
+    assert np.max(np.abs(u[1] - (1.0 - u[0]))) <= 1e-15
+
+
+def test_gaussian_batch_rows_match_single_chains_across_step_blocks():
+    # a 40-row batch takes its steps in blocks of 819, a single chain in one block
+    seeds = [derive_seed(78, i) for i in range(40)]
+    mat = uniform_chain_matrix(Gaussian(0.9), 2000, seeds)
+    for i in (0, 17, 39):
+        assert mat[i].tobytes() == sample_chain(Gaussian(0.9), 2000, seeds[i]).uniforms.tobytes()
+
+
+def test_gaussian_part_of_a_mixture_keeps_its_step_rule():
+    c = Convex((0.5, 0.5), (Gaussian(0.7), Fgm(0.6)))
+    seeds = [derive_seed(79, i) for i in range(6)]
+    n = 300
+    u = open_uniform_rows(seeds, CHAIN_STREAM, n)
+    sel = open_uniform_rows(seeds, SELECTOR_STREAM, n - 1)
+    (cut,), (first, second) = np.cumsum(c.weights)[:-1], c.components
+    for t in range(1, n):
+        prev, w = u[:, t - 1], u[:, t]
+        u[:, t] = np.where(sel[:, t - 1] >= cut, second.cond_u_inv_raw(prev, w),
+                           first.cond_u_inv_raw(prev, w))
+    assert uniform_chain_matrix(c, n, seeds).tobytes() == u.tobytes()
 
 
 def test_mardia_branch_frequencies():

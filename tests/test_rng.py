@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from copulamix.rng import derive_seed, open_uniform, stream
+from copulamix.rng import derive_seed, open_uniform, open_uniform_rows, stream
 
 _LO = 2.0**-53
 _HI = 1.0 - 2.0**-53
@@ -55,3 +55,14 @@ def test_huge_seeds_are_accepted():
     x = open_uniform(gen, size=10)
     assert np.all((x > 0.0) & (x < 1.0))
     assert derive_seed(2**64 - 1, 0) >= 0
+
+
+@pytest.mark.parametrize("purpose", [0, 1, 2])
+def test_open_uniform_rows_equal_the_single_streams(purpose):
+    seeds = [0, 1, 2**64 - 1, derive_seed(31, 4), 123456789]
+    for rows in (seeds, seeds[:1], []):
+        for size in (0, 1, 3, 1001):
+            mat = open_uniform_rows(rows, purpose, size)
+            assert mat.shape == (len(rows), size)
+            for s, row in zip(rows, mat):
+                assert row.tobytes() == open_uniform(stream(s, purpose), size).tobytes()

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from copulamix import robust
+from copulamix.normal import norm_ppf
 from copulamix import (
     PI,
     M,
@@ -236,17 +237,31 @@ BLOCK_COPULAS = (
 BLOCK_MARGINALS = (("normal", Normal(30.0, 1.0)), ("uniform", Uniform01()))
 
 
+def _per_row_robust_mean(y, x, level):
+    """The estimator on one sample, written out on its own: a reference for the block pass."""
+    n = y.size
+    mean = float(y.mean())
+    mean_sq = float(np.mean(y * y))
+    h = (mean_sq / (n * math.sqrt(2.0) * mean * mean)) ** 0.2
+    r_tilde = float(np.sum(y * np.exp(-0.5 * (x / h) ** 2))) / (n * h)
+    z = float(norm_ppf(1.0 - (1.0 - level) / 2.0))
+    return robust.RobustMeanResult(
+        n=n, h=h, r_tilde=r_tilde, mu_hat=r_tilde * math.sqrt(1.0 + h * h),
+        half_width=z * math.sqrt(mean_sq / (n * h * math.sqrt(2.0))), z=z, mean_y_sq=mean_sq,
+    )
+
+
 def _hex_fields(r):
     return [float(v).hex() for v in (r.n, r.h, r.r_tilde, r.mu_hat, r.half_width, r.z, r.mean_y_sq)]
 
 
 @pytest.mark.parametrize("m", [m for _, m in BLOCK_MARGINALS], ids=[k for k, _ in BLOCK_MARGINALS])
 @pytest.mark.parametrize("c", [c for _, c in BLOCK_COPULAS], ids=[k for k, _ in BLOCK_COPULAS])
-@pytest.mark.parametrize("n", [200, robust._BLOCK_ELEMS // 2 + 1], ids=["blocks", "one-row"])
+@pytest.mark.parametrize("n", [200, robust.BLOCK_ELEMS // 2 + 1], ids=["blocks", "one-row"])
 def test_blocked_estimates_equal_the_per_row_loop_bit_for_bit(c, m, n, monkeypatch):
     # one full quantile block and a partial one of 3 rows; from
-    # n = _BLOCK_ELEMS // 2 + 1 on a block is one row
-    block = max(1, robust._BLOCK_ELEMS // n)
+    # n = BLOCK_ELEMS // 2 + 1 on a block is one row
+    block = max(1, robust.BLOCK_ELEMS // n)
     reps, seed = block + 3, 2718
     batches = []
     original = robust.uniform_chain_matrix
@@ -261,13 +276,52 @@ def test_blocked_estimates_equal_the_per_row_loop_bit_for_bit(c, m, n, monkeypat
     [(seeds, umat)] = batches
     assert seeds == [derive_seed(seed, r) for r in range(reps)]
     for r, (s, row) in enumerate(zip(seeds, umat)):
-        ref = robust_mean(m.quantile(row), sample_iid_normal(n, s), 0.95)
+        ref = _per_row_robust_mean(m.quantile(row), sample_iid_normal(n, s), 0.95)
         assert _hex_fields(results[r]) == _hex_fields(ref), r
+        assert _hex_fields(robust_mean(m.quantile(row), sample_iid_normal(n, s))) == _hex_fields(ref)
+
+
+@pytest.mark.parametrize("fault", ["y", "x", "zero-mean"])
+def test_block_estimator_raises_as_robust_mean_does(fault):
+    rng = np.random.default_rng(4)
+    ys, xs = rng.normal(30.0, 1.0, size=(5, 50)), rng.normal(size=(5, 50))
+    if fault == "y":
+        ys[2, 7] = np.nan
+        ys[3, 1:3] = (np.inf, -np.inf)  # a later row whose mean is NaN
+    elif fault == "x":
+        xs[2, 7] = np.inf
+    else:
+        ys[2] = np.tile([1.5, -1.5], 25)
+    with pytest.raises((DomainError, DegenerateSampleError)) as single:
+        robust_mean(ys[2], xs[2])
+    with pytest.raises((DomainError, DegenerateSampleError)) as block:
+        robust._estimates(ys, xs, robust._z(0.95))
+    assert type(block.value) is type(single.value)
+    assert str(block.value) == str(single.value)
+    # the first faulty row is the one reported
+    ys[4], xs[4] = 0.0, np.nan
+    with pytest.raises(type(single.value), match=str(single.value)):
+        robust._estimates(ys, xs, 1.96)
+    # a row with faults in both samples reports x, as robust_mean does
+    ys[1, 0], xs[1, 0] = np.nan, np.nan
+    for call in (lambda: robust_mean(ys[1], xs[1]), lambda: robust._estimates(ys, xs, 1.96)):
+        with pytest.raises(DomainError, match="x must be a finite sample"):
+            call()
+
+
+@pytest.mark.parametrize("level", [1.5, 0.0, 1.0, float("nan")])
+def test_level_is_checked_before_any_chain_is_simulated(level, monkeypatch):
+    def never(c, n, seeds):
+        raise AssertionError("a chain was simulated")
+
+    monkeypatch.setattr(robust, "uniform_chain_matrix", never)
+    with pytest.raises(DomainError, match="confidence level"):
+        replicate_robust_means(Fgm(0.6), Normal(30.0, 1.0), 20_000, 200, level, seed=1)
 
 
 def test_variance_diagnostic_equals_its_per_row_form():
     c, m, sizes, seed = dict(BLOCK_COPULAS)["frechet_fgm"], Normal(30.0, 1.0), (100, 200), 6
-    reps = robust._BLOCK_ELEMS // sizes[-1] + 3
+    reps = robust.BLOCK_ELEMS // sizes[-1] + 3
     diag = variance_diagnostic(c, m, sizes, reps, seed)
     for n, nv, nhv in zip(sizes, diag.nvar, diag.nhvar):
         umat = uniform_chain_matrix(c, n, [derive_seed(seed, r) for r in range(reps)])
