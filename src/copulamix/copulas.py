@@ -174,7 +174,7 @@ class Mardia(Copula):
 
     def density_raw(self, u, v):
         # the M and W parts are singular; only the Pi part has a density
-        return np.full_like(np.asarray(u, dtype=float), 1.0 - self.a - self.b)
+        return np.full_like(np.asarray(u, dtype=float), 1.0 - (self.a + self.b))
 
     def cond_u_raw(self, u, v):
         pi_w = 1.0 - self.a - self.b
@@ -699,8 +699,11 @@ def _pool(group) -> Copula:
         return group[0][1]
     total = sum(w for w, _ in group)
     if all(isinstance(c, Mardia) for _, c in group):
-        return _canonical_mardia(sum(w * c.a for w, c in group) / total,
-                                 sum(w * c.b for w, c in group) / total)
+        a = sum(w * c.a for w, c in group) / total
+        # a pool of members without a Pi part has none either: a + (1 - a) == 1 exactly
+        if all(c.a + c.b == 1.0 for _, c in group):
+            return _canonical_mardia(a, 1.0 - a)
+        return _canonical_mardia(a, sum(w * c.b for w, c in group) / total)
     return Fgm(sum(w * c.theta for w, c in group if isinstance(c, Fgm)) / total)
 
 
@@ -716,8 +719,9 @@ def fold(c1: Copula, c2: Copula) -> Copula:
     becomes a :class:`NumericFold`.
     """
     # d2 W(x, t) = 1{t > 1 - x}, so W reflects the other factor; terms of weight
-    # zero are dropped.  With two Mardia factors, expand the one with fewer
-    # parts.  M goes last among equals: it hands back the other factor unchanged.
+    # zero, or whose product weight underflows to zero, are dropped.  With two
+    # Mardia factors, expand the one with fewer parts.  M goes last among
+    # equals: it hands back the other factor unchanged.
     expansions = []
     for m, c, reflect in ((c1, c2, reflect_u), (c2, c1, reflect_v)):
         if isinstance(m, Mardia):
@@ -728,7 +732,7 @@ def fold(c1: Copula, c2: Copula) -> Copula:
     if isinstance(c1, Convex) or isinstance(c2, Convex):
         terms = [(w1 * w2, fold(a, b))
                  for w1, a in _convex_terms(c1)
-                 for w2, b in _convex_terms(c2)]
+                 for w2, b in _convex_terms(c2) if w1 * w2 > 0.0]
         return _mixture(terms)
     if isinstance(c1, Fgm) and isinstance(c2, Fgm):
         return Fgm(c1.theta * c2.theta / 3.0)
@@ -815,10 +819,6 @@ class DensityGrid:
             raise DomainError("density grid shape must match its resolution")
         if np.any(self.values < 0.0):
             raise DomainError("density values must be nonnegative")
-
-    @property
-    def riemann_sum(self) -> float:
-        return float(self.values.sum()) / (self.resolution * self.resolution)
 
 
 def midpoints(m: int) -> np.ndarray:

@@ -9,16 +9,17 @@ through ratios P(A x B) / (lambda(A) lambda(B)) over rectangles-of-events:
   essential supremum of its density bounds it from above.
 * psi: the two-sided coefficient, max(psi-star - 1, 1 - psi-prime).
 
-Every certified verdict comes from one closed-form envelope per family: a
-density floor and ceiling that hold at every lag, and a flag for psi-star
-infinite at every lag.  A report's ``psi_prime_lower`` and ``psi_star_upper``
-are the lag-n density's minimum (capped at 1) and maximum (raised to 1) over a
-midpoint grid: estimates, not bounds, since a grid can only overstate the
-infimum and understate the supremum.  Only where the lag-n law would nest
-numeric folds past the depth cap does ``psi_prime_lower`` hold the envelope
-floor, a true bound.
+Every certified verdict comes from one closed-form lag-1 envelope per family:
+a density floor and ceiling, and a flag for psi-star infinite at every lag.
+The lag lives in the fold algebra alone: the lag-n envelope is the envelope of
+``n_fold(c, n)``, and verdicts read the lag-1 and lag-2 envelopes.  A report's
+``psi_prime_lower`` and ``psi_star_upper`` are the lag-n density's minimum
+(capped at 1) and maximum (raised to 1) over a midpoint grid: estimates, not
+bounds, since a grid can only overstate the infimum and understate the
+supremum.  Only where the lag-n law would nest numeric folds past the depth
+cap does ``psi_prime_lower`` hold the lag-1 envelope floor, a true bound.
 Grid maxima across resolutions and corner-event scans give uncertified
-psi-star evidence where the envelope leaves that side open.
+psi-star evidence where the envelopes leave that side open.
 """
 
 from __future__ import annotations
@@ -135,13 +136,10 @@ def psi_prime_lower_bound(c: Copula, n: int, m: int = DEFAULT_RESOLUTION) -> flo
     It is the minimum of the lag-n density over the m x m midpoint grid,
     capped at 1: an estimate of the density's essential infimum from above,
     not a bound.  When the lag-n law would nest numeric folds past the cap it
-    is the closed-form envelope floor, which is a certified lower bound.
+    is the lag-1 envelope floor, which is a certified lower bound.
     """
-    try:
-        lo, _ = density_extrema(c, n, m)
-    except FoldDepthError:
-        return _envelope(c, n)[0]
-    return min(float(lo), 1.0)
+    cn = _lag_law(c, n)
+    return _envelope(c)[0] if cn is None else min(_grid_extrema(cn, m)[0], 1.0)
 
 
 def _corner_probability(c: Copula, eps: float, flip_u: bool, flip_v: bool) -> float:
@@ -179,14 +177,6 @@ def _corner_scan(cn: Copula, eps_list: Sequence[float]) -> list:
     return out
 
 
-def fgm_psi_bounds(theta: float, n: int) -> tuple:
-    """Closed two-sided envelope for the lag-n FGM density and event ratios."""
-    if not -1.0 <= theta <= 1.0:
-        raise DomainError("FGM theta must lie in [-1, 1]")
-    spread = 3.0 * (abs(theta) / 3.0) ** check_lag(n)
-    return 1.0 - spread, 1.0 + spread
-
-
 def _grid_maxima_unbounded(cn: Copula, m: int, hi: float) -> tuple:
     """Evidence scan for an unbounded density of the lag-n copula ``cn``.
 
@@ -212,25 +202,25 @@ def _scan_diverges(scan: Sequence[tuple]) -> bool:
     return ratios[-1] >= 10.0 * max(ratios[0], 1.0) and ratios[-1] > 50.0
 
 
-def _envelope(c: Copula, n: int) -> tuple:
-    """(floor, ceiling, unbounded_at_every_lag) of the lag-n copula of ``c``.
+def _envelope(c: Copula) -> tuple:
+    """(floor, ceiling, unbounded_at_every_lag) of the lag-1 law ``c``.
 
-    The floor and ceiling bound the absolutely continuous density of the lag-n
-    law from below and above; the ceiling is inf when that law has a singular
-    part or no finite bound is known.  The flag says psi-star is infinite at
-    every lag.  A fold's density is at least the floor of either factor and at
-    most the ceiling of either absolutely continuous factor, so a lag-1
-    envelope holds at every later lag: the AMH, Convex, NumericFold and
-    Reflected rules use that; a reflected density takes the base's values.
-    Any other copula gets the neutral (0, inf, False).
+    The floor and ceiling bound the absolutely continuous density of ``c``
+    from below and above; the ceiling is inf when ``c`` has a singular part or
+    no finite bound is known.  The flag says psi-star is infinite at every lag.
+    A fold's density is at least the floor of either factor and at most the
+    ceiling of either absolutely continuous factor, so this envelope holds at
+    every later lag too; the lag-n envelope is ``_envelope(n_fold(c, n))``.
+    A mixture weights its parts' envelopes, and a reflected density takes the
+    base's values.  Any other copula gets the neutral (0, inf, False).
     """
     if isinstance(c, Fgm):
-        return (*fgm_psi_bounds(c.theta, n), False)
+        return 1.0 - abs(c.theta), 1.0 + abs(c.theta), False
     if isinstance(c, Mardia):
-        # the Pi weight of the n-th power; from a + b it is exactly 0 when
-        # a + b == 1, where 1 - a - b can leave a rounding residue
+        # the Pi weight; from a + b it is exactly 0 when a + b == 1, where
+        # 1 - a - b can leave a rounding residue
         singular = c.a + c.b
-        return 1.0 - singular ** n, (math.inf if singular > 0.0 else 1.0), singular > 0.0
+        return 1.0 - singular, (math.inf if singular > 0.0 else 1.0), singular > 0.0
     if isinstance(c, Gaussian):
         return (1.0, 1.0, False) if c.r == 0.0 else (0.0, math.inf, True)
     if isinstance(c, Amh):
@@ -238,16 +228,24 @@ def _envelope(c: Copula, n: int) -> tuple:
         th = c.theta
         return 1.0 - abs(th), (max(1.0 - th, 1.0 / (1.0 - th)) if th < 1.0 else math.inf), False
     if isinstance(c, Convex):
-        parts = [(w, *_envelope(comp, 1)) for w, comp in zip(c.weights, c.components)]
+        parts = [(w, *_envelope(comp)) for w, comp in zip(c.weights, c.components)]
         return (sum(w * lo for w, lo, _, _ in parts),
                 sum(w * hi for w, _, hi, _ in parts),
                 any(flag for _, _, _, flag in parts))
     if isinstance(c, NumericFold):
-        (lo_l, hi_l, _), (lo_r, hi_r, _) = _envelope(c.left, 1), _envelope(c.right, 1)
+        (lo_l, hi_l, _), (lo_r, hi_r, _) = _envelope(c.left), _envelope(c.right)
         return max(lo_l, lo_r), min(hi_l, hi_r), False
     if isinstance(c, Reflected):
-        return _envelope(c.base, 1)
+        return _envelope(c.base)
     return 0.0, math.inf, False
+
+
+def _lag_law(c: Copula, n: int):
+    """The lag-n law of ``c``, or None where it would nest numeric folds past the cap."""
+    try:
+        return n_fold(c, n)
+    except FoldDepthError:
+        return None
 
 
 def lag_report(
@@ -257,10 +255,13 @@ def lag_report(
     eps_list: Sequence[float] = DEFAULT_EPS_LADDER,
 ) -> MixingReport:
     """The lag-n numbers as a report without findings; ``lag_reports`` attaches them."""
-    try:
-        cn = n_fold(c, n)
-    except FoldDepthError:  # no lag-n law to evaluate: keep the envelope floor alone
-        return MixingReport(int(n), 0.0, math.inf, False, float(_envelope(c, n)[0]), math.inf, ())
+    return _report(c, check_lag(n), _lag_law(c, n), m, eps_list)
+
+
+def _report(c: Copula, n: int, cn, m: int, eps_list: Sequence[float]) -> MixingReport:
+    """The lag-n report of ``c`` from its lag-n law ``cn``."""
+    if cn is None:  # no lag-n law to evaluate: keep the envelope floor alone
+        return MixingReport(n, 0.0, math.inf, False, float(_envelope(c)[0]), math.inf, ())
     lo, hi = _grid_extrema(cn, m)
     unbounded = False
     # the refinement ladder is affordable only for closed-form densities;
@@ -271,7 +272,7 @@ def lag_report(
     density_max = math.inf if unbounded else hi
     psi_star = max(density_max, 1.0) if cn.is_absolutely_continuous else math.inf
     return MixingReport(
-        n=int(n),
+        n=n,
         density_min=float(lo),
         density_max=float(density_max),
         density_unbounded_evidence=bool(unbounded),
@@ -281,19 +282,27 @@ def lag_report(
     )
 
 
-def _findings(c: Copula, first: MixingReport) -> tuple:
-    """Verdicts from the lag-2 envelope, plus grid evidence from the lag-1
-    report ``first`` where the envelope leaves the psi-star side open.
+def _findings(c: Copula, first: MixingReport, second) -> tuple:
+    """Verdicts from the lag-1 envelope of ``c`` and the envelope of its lag-2
+    law ``second`` (None past the fold-depth cap), plus grid evidence from the
+    lag-1 report ``first`` where the envelopes leave the psi-star side open.
 
     Every absolutely continuous family here has a density positive almost
     everywhere, so its chain is ergodic and aperiodic (Longla and Peligrad
     2012), and a positive floor or a finite ceiling at one lag then carries
-    over to every later lag (Bradley 2005).  Lag 2 is where FGM(+-1) first has
-    a positive floor.  Grid findings are marked not certified; PsiMixing and
-    NotPsiStarMixing are never reported together.
+    over to every later lag (Bradley 2005).  So the floor is the larger and
+    the ceiling the smaller of the two envelopes', and either flag counts.
+    Lag 2 is where FGM(+-1) and its perturbations first have a positive floor.
+    Grid findings are marked not certified; PsiMixing and NotPsiStarMixing are
+    never reported together.
     """
-    floor, ceiling, unbounded = _envelope(c, 2)
-    if floor > 0.0 and ceiling < math.inf:
+    envelopes = [_envelope(c)] + ([] if second is None else [_envelope(second)])
+    floor = max(lo for lo, _, _ in envelopes)
+    ceiling = min(hi for _, hi, _ in envelopes)
+    unbounded = any(flag for _, _, flag in envelopes)
+    # the flag also guards the ceiling: a mixture fold drops a singular term
+    # whose weight underflows, which can leave the lag-2 ceiling finite
+    if floor > 0.0 and ceiling < math.inf and not unbounded:
         return (Finding(MixingVerdict.PSI_MIXING, "density-envelope", True),)
     findings = []
     if floor > 0.0:
@@ -320,7 +329,11 @@ def classify(c: Copula, m: int = DEFAULT_RESOLUTION) -> MixingReport:
 
 
 def lag_reports(c: Copula, n_max: int = DEFAULT_N_MAX, m: int = DEFAULT_RESOLUTION) -> tuple:
-    """One report per lag 1..n_max, each built once, all carrying the same findings."""
-    reports = [lag_report(c, lag, m) for lag in range(1, check_lag(n_max) + 1)]
-    findings = _findings(c, reports[0])
+    """One report per lag 1..n_max, each law folded once, all carrying the same findings.
+
+    The findings read the lag-2 law, folded once more when n_max is 1.
+    """
+    laws = [_lag_law(c, lag) for lag in range(1, check_lag(n_max) + 1)]
+    reports = [_report(c, lag, cn, m, DEFAULT_EPS_LADDER) for lag, cn in enumerate(laws, 1)]
+    findings = _findings(c, reports[0], laws[1] if len(laws) > 1 else _lag_law(c, 2))
     return tuple(replace(r, findings=findings) for r in reports)

@@ -202,18 +202,6 @@ def _row_blocks(c: Copula, n: int, reps: int, seed: int):
             yield seeds[b:b + block], umat[b:b + block]
 
 
-def coverage_experiment(
-    c: Copula,
-    m: Marginal,
-    n: int,
-    reps: int,
-    level: float,
-    seed: int,
-) -> float:
-    """Fraction of replications whose interval contains the true marginal mean."""
-    return coverage_rate(replicate_robust_means(c, m, n, reps, level, seed), m.mean)
-
-
 def variance_diagnostic(
     c: Copula,
     m: Marginal,
@@ -242,18 +230,3 @@ def variance_diagnostic(
     return VarianceDiagnostic(
         sizes=tuple(sizes), nvar=tuple(nvar), nhvar=tuple(nhvar), replications=int(reps)
     )
-
-
-def results_to_csv(rows: Sequence[tuple], path) -> None:
-    """Write (copula_label, seed, result, covered) rows as CSV.
-
-    Columns: copula, n, seed, h, r_tilde, mu_hat, ci_lo, ci_hi, covered.
-    """
-    with open(path, "w", newline="\n") as fh:
-        fh.write("copula,n,seed,h,r_tilde,mu_hat,ci_lo,ci_hi,covered\n")
-        for label, seed, res, covered in rows:
-            fh.write(
-                "%s,%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%d\n"
-                % (label, res.n, seed, res.h, res.r_tilde, res.mu_hat,
-                   res.ci_lo, res.ci_hi, int(covered))
-            )

@@ -8,6 +8,7 @@ the factors' partials.  The closed-form densities below call nothing from the
 package at all; the normal quantile comes from scipy.
 """
 
+import math
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -168,3 +169,24 @@ def amh_transition_root(theta: float, u: float, w: float) -> float:
         if a == 0:
             return float(c / b)
         return float((-b + (b * b + 4 * a * c).sqrt()) / (2 * a))
+
+
+def frechet_fgm_m_pi_floor(frechet: float, fgm: float, m: float, pi: float,
+                           theta: float, phi: float, n: int):
+    """Density floor of the lag-n law of a mix of Frechet(theta), FGM(phi), M and Pi.
+
+    The four weights sum to 1, and theta, phi >= 0.  The lag-n law mixes the
+    n-letter words of factors.  Pi absorbs a word and M drops out of it.
+    Frechet(s) folds with Frechet(t) to Frechet(st), whose Pi weight is
+    1 - (st)^2; FGM(a) folds with FGM(b) to FGM(ab/3), and Frechet(t) turns
+    FGM(a) into FGM(t^3 a).  So a word without Pi, with j Frechet and k FGM
+    factors, has floor 1 - theta^(2j) if k = 0 and 1 - 3 (phi/3)^k theta^(3j)
+    otherwise.  All FGM parameters share one sign, so the floors add up.
+    """
+    total = 1.0 - (1.0 - pi) ** n  # the words with a Pi factor
+    for j in range(n + 1):
+        for k in range(n + 1 - j):
+            weight = math.comb(n, j) * math.comb(n - j, k) * frechet ** j * fgm ** k * m ** (n - j - k)
+            floor = 1.0 - theta ** (2 * j) if k == 0 else 1.0 - 3.0 * (phi / 3.0) ** k * theta ** (3 * j)
+            total += weight * floor
+    return total

@@ -35,7 +35,6 @@ from copulamix import (
     default_study_config,
     density,
     density_extrema,
-    fgm_psi_bounds,
     fold,
     n_fold,
     replicate_robust_means,
@@ -47,6 +46,7 @@ from copulamix.cli import main as cli_main
 from oracles import (
     amh_density,
     amh_density_range,
+    fgm_density_range,
     gaussian_diagonal_density,
     iterated_fold_grid,
     kinked_fold_cdf,
@@ -183,7 +183,7 @@ def test_04_fgm_density_extrema_hit_their_envelope(capsys):
     band_ok = 0.4 <= lo <= 0.41 and 1.59 <= hi <= 1.6
     envelope_ok = True
     for n in range(1, 5):
-        e_lo, e_hi = fgm_psi_bounds(0.6, n)
+        e_lo, e_hi = fgm_density_range(0.6, n)
         g_lo, g_hi = density_extrema(Fgm(0.6), n, 256)
         envelope_ok = envelope_ok and e_lo <= g_lo <= g_hi <= e_hi
     _, sharp_hi = density_extrema(Fgm(1.0), 2, 1024)

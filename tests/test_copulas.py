@@ -575,7 +575,7 @@ def test_density_grid_shape_and_mass():
     g = density_grid(Fgm(0.6), 64)
     assert g.resolution == 64
     assert g.values.shape == (64, 64)
-    assert g.riemann_sum == pytest.approx(1.0, abs=1e-12)
+    assert g.values.mean() == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -23,22 +23,29 @@ from copulamix.copulas import (
     density_grid,
     fold,
     n_fold,
+    perturb_m,
     perturb_pi,
 )
-from copulamix import copulas, mixing
+from copulamix import copulas, default_study_config, mixing
 from copulamix.errors import DomainError
 from copulamix.mixing import (
     MixingVerdict,
     classify,
     corner_divergence_scan,
     density_extrema,
-    fgm_psi_bounds,
     lag_report,
     lag_reports,
     psi_prime_lower_bound,
 )
 
-from oracles import amh_density_range, fgm_density_range, iterated_density_grid, mardia_pi_weight
+from oracles import (
+    amh_density_range,
+    fgm_density_range,
+    frechet_fgm_m_pi_floor,
+    iterated_density_grid,
+    mardia_pi_weight,
+)
+from test_copulas import ZOO
 
 V = MixingVerdict
 FRECHET_FGM = Convex((0.6, 0.4), (Frechet(0.6), Fgm(0.6)))
@@ -63,17 +70,17 @@ def test_fgm_extrema_on_midpoint_grids():
 
 def test_fgm_envelope_contains_every_grid_and_tightens_with_n():
     for n in range(1, 5):
-        lo_b, hi_b = fgm_psi_bounds(0.6, n)
+        lo_b, hi_b = fgm_density_range(0.6, n)
         for m in (16, 64, 256):
             lo, hi = density_extrema(Fgm(0.6), n, m)
             assert lo_b - 1e-12 <= lo <= hi <= hi_b + 1e-12
-    widths = [np.diff(fgm_psi_bounds(0.6, n))[0] for n in range(1, 6)]
+    widths = [np.diff(fgm_density_range(0.6, n))[0] for n in range(1, 6)]
     assert all(b < a for a, b in zip(widths, widths[1:]))
 
 
 def test_fgm_bounds_converge_at_the_stated_rate():
-    lo1, hi1 = fgm_psi_bounds(0.6, 4)
-    lo2, hi2 = fgm_psi_bounds(0.6, 5)
+    lo1, hi1 = fgm_density_range(0.6, 4)
+    lo2, hi2 = fgm_density_range(0.6, 5)
     assert (1.0 - lo2) / (1.0 - lo1) == pytest.approx(0.2, abs=1e-12)
     assert (hi2 - 1.0) / (hi1 - 1.0) == pytest.approx(0.2, abs=1e-12)
 
@@ -92,7 +99,6 @@ class _Opaque(Copula):
 
 
 AMH_HALF = amh_density_range(0.5)
-FGM_LAG1 = fgm_density_range(0.6, 1)
 # (copula, n -> its envelope from the closed forms in oracles.py)
 ENVELOPE_ORACLES = [
     (Fgm(0.6), lambda n: (*fgm_density_range(0.6, n), False)),
@@ -107,10 +113,13 @@ ENVELOPE_ORACLES = [
     (Amh(0.5), lambda n: (*AMH_HALF, False)),
     (Amh(-1.0), lambda n: (*amh_density_range(-1.0), False)),
     (Amh(1.0), lambda n: (0.0, math.inf, False)),
+    # Gaussian(0) is Pi, which absorbs every word of factors it takes part in
     (Convex((0.5, 0.5), (Gaussian(0.0), Fgm(0.6))),
-     lambda n: (0.5 + 0.5 * FGM_LAG1[0], 0.5 + 0.5 * FGM_LAG1[1], False)),
+     lambda n: tuple(1.0 - 0.5 ** n + 0.5 ** n * x for x in fgm_density_range(0.6, n)) + (False,)),
     (FRECHET_FGM,
-     lambda n: (0.6 * mardia_pi_weight(0.288, 0.072, 1) + 0.4 * FGM_LAG1[0], math.inf, True)),
+     lambda n: (frechet_fgm_m_pi_floor(0.6, 0.4, 0.0, 0.0, 0.6, 0.6, n), math.inf, True)),
+    # the lag-n law of a NumericFold or a Reflected is a NumericFold of its
+    # lag-1 factors, so its envelope keeps the lag-1 values
     (NumericFold(Amh(0.5), Fgm(0.3)),
      lambda n: (max(AMH_HALF[0], fgm_density_range(0.3, 1)[0]),
                 min(AMH_HALF[1], fgm_density_range(0.3, 1)[1]), False)),
@@ -118,17 +127,40 @@ ENVELOPE_ORACLES = [
     (Reflected(Amh(0.5), True, False), lambda n: (*AMH_HALF, False)),
     (Reflected(Amh(0.5), False, True), lambda n: (*AMH_HALF, False)),
     (Reflected(Amh(-1.0), True, True), lambda n: (*amh_density_range(-1.0), False)),
-    # Frechet(0.6) * AMH(0.5): 0.288 AMH + 0.072 reflected AMH + 0.64 Pi
+    # Frechet(0.6) * AMH(0.5): 0.288 AMH + 0.072 reflected AMH + 0.64 Pi, whose
+    # lag-n law keeps 0.36^n on folds of (reflected) AMH and the rest on Pi
     (fold(Frechet(0.6), Amh(0.5)),
-     lambda n: (0.36 * AMH_HALF[0] + 0.64, 0.36 * AMH_HALF[1] + 0.64, False)),
+     lambda n: (0.36 ** n * AMH_HALF[0] + 1.0 - 0.36 ** n,
+                0.36 ** n * AMH_HALF[1] + 1.0 - 0.36 ** n, False)),
     (_Opaque(), lambda n: (0.0, math.inf, False)),
 ]
 
 
+def _shipped_oracle(frechet, fgm, m, pi):
+    """n -> the envelope of a mix of Frechet(0.6), FGM(0.6), M and Pi."""
+    def oracle(n):
+        floor = frechet_fgm_m_pi_floor(frechet, fgm, m, pi, 0.6, 0.6, n)
+        return (floor, math.inf, True) if frechet + m > 0.0 else (floor, 2.0 - floor, False)
+    return oracle
+
+
+# the 12 shipped names: each base's (Frechet, FGM, M) weights, then its
+# perturbations toward Pi (weight 0.4) and toward M (weight 0.7)
+SHIPPED_WEIGHTS = {}
+for _base, (_fr, _fg, _m) in (("fgm", (0.0, 1.0, 0.0)), ("fgm_m", (0.0, 0.6, 0.4)),
+                              ("frechet", (1.0, 0.0, 0.0)), ("frechet_fgm", (0.6, 0.4, 0.0))):
+    SHIPPED_WEIGHTS[_base] = (_fr, _fg, _m, 0.0)
+    SHIPPED_WEIGHTS[_base + "@pi0.4"] = (0.6 * _fr, 0.6 * _fg, 0.6 * _m, 0.4)
+    SHIPPED_WEIGHTS[_base + "@m0.7"] = (0.3 * _fr, 0.3 * _fg, 0.3 * _m + 0.7, 0.0)
+ENVELOPE_IDS = [repr(c) for c, _ in ENVELOPE_ORACLES] + list(SHIPPED_WEIGHTS)
+ENVELOPE_ORACLES += [(default_study_config().resolve(name), _shipped_oracle(*weights))
+                     for name, weights in SHIPPED_WEIGHTS.items()]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("c, oracle", ENVELOPE_ORACLES, ids=[repr(c) for c, _ in ENVELOPE_ORACLES])
+@pytest.mark.parametrize("c, oracle", ENVELOPE_ORACLES, ids=ENVELOPE_IDS)
 def test_envelope_matches_the_closed_forms_and_holds_on_the_lag_n_grid(c, oracle, n):
-    floor, ceiling, unbounded = mixing._envelope(c, n)
+    floor, ceiling, unbounded = mixing._envelope(n_fold(c, n))
     want_floor, want_ceiling, want_unbounded = oracle(n)
     assert floor == pytest.approx(want_floor, rel=1e-12, abs=1e-15)
     assert ceiling == pytest.approx(want_ceiling, rel=1e-12)
@@ -149,7 +181,6 @@ def test_envelope_matches_the_closed_forms_and_holds_on_the_lag_n_grid(c, oracle
 def test_every_lag_entry_point_rejects_a_lag_that_is_not_a_whole_number_from_one(lag):
     entry_points = (
         lambda n: n_fold(Fgm(0.5), n),
-        lambda n: fgm_psi_bounds(0.5, n),
         lambda n: density_extrema(Fgm(0.5), n, 16),
         lambda n: psi_prime_lower_bound(FRECHET_FGM, n, 16),
         lambda n: corner_divergence_scan(Fgm(0.5), n, (0.1,)),
@@ -162,7 +193,7 @@ def test_every_lag_entry_point_rejects_a_lag_that_is_not_a_whole_number_from_one
 
 
 def test_whole_float_lags_name_the_same_lag():
-    assert fgm_psi_bounds(0.5, 2.0) == fgm_psi_bounds(0.5, 2)
+    assert n_fold(Fgm(0.5), 2.0) == n_fold(Fgm(0.5), 2)
     assert lag_report(Fgm(0.5), 2.0, 16) == lag_report(Fgm(0.5), 2, 16)
     assert lag_report(Fgm(0.5), 2.0, 16).n == 2
 
@@ -306,7 +337,7 @@ def test_a_lag_density_grid_is_built_at_most_once(monkeypatch):
     rep = lag_report(FRECHET_AMH, 2, 16)
     assert built == []
     assert rep.psi_prime_lower == psi_prime_lower_bound(FRECHET_AMH, 2, 16) > 0.0
-    assert rep.psi_prime_lower == mixing._envelope(FRECHET_AMH, 2)[0]
+    assert rep.psi_prime_lower == mixing._envelope(FRECHET_AMH)[0]
 
 
 def test_each_lag_is_folded_once(monkeypatch):
@@ -485,6 +516,11 @@ UNBOUNDED = (V.NOT_PSI_STAR_MIXING, "unbounded-at-every-lag", True)
     (Convex((0.5, 0.5), (Gaussian(0.0), Fgm(0.6))), [ENVELOPE]),
     (NumericFold(Amh(0.5), Amh(0.5)), [ENVELOPE]),
     (fold(Frechet(0.6), Amh(0.5)), [ENVELOPE]),
+    # lag-2 floors 1/6 and 0.653, from the lag-2 law
+    (perturb_m(Fgm(1.0), 0.5), [FLOOR, UNBOUNDED]),
+    (perturb_m(Fgm(-1.0), 0.3), [FLOOR, UNBOUNDED]),
+    # the lag-2 law drops the M * M term, whose weight 1e-600 underflows
+    (perturb_m(Fgm(0.6), 1e-300), [FLOOR, UNBOUNDED]),
 ], ids=repr)
 def test_classify_findings_are_pinned(c, expected):
     assert [(f.verdict, f.rule, f.certified) for f in classify(c, 8).findings] == expected
@@ -495,3 +531,32 @@ def test_a_rounding_residue_is_no_density_floor():
     # Pi part, so a mixture of it with W has no absolutely continuous part
     c = Convex((0.5, 0.5), (Mardia(0.7, 0.3), W))
     assert [f.rule for f in classify(c, 8).findings] == ["unbounded-at-every-lag"]
+    # nor has its lag-n law, a pool of Mardia members without a Pi part
+    for report in lag_reports(c, 3, 8):
+        assert report.psi_prime_lower == 0.0
+        assert mixing._envelope(n_fold(c, report.n)) == (0.0, math.inf, True)
+        assert [f.rule for f in report.findings] == ["unbounded-at-every-lag"]
+    assert lag_report(Mardia(0.7, 0.3), 1, 8).psi_prime_lower == 0.0
+
+
+CERTIFIED_PSI_PRIME = {V.PSI_PRIME_MIXING, V.PSI_MIXING}
+
+
+def _certified(c):
+    return {f.verdict for f in classify(c, 8).findings if f.certified}
+
+
+@given(st.sampled_from(ZOO), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+@settings(max_examples=60, deadline=None)
+def test_perturbations_keep_psi_prime_mixing_and_m_breaks_psi_mixing(c, lam):
+    # the abstract's two claims: a perturbation of a psi'-mixing chain is
+    # psi'-mixing, and an M-perturbation of an absolutely continuous psi-mixing
+    # chain is not psi*-mixing, while a Pi-perturbation stays psi-mixing
+    verdicts = _certified(c)
+    to_pi, to_m = _certified(perturb_pi(c, lam)), _certified(perturb_m(c, lam))
+    if verdicts & CERTIFIED_PSI_PRIME:
+        assert to_pi & CERTIFIED_PSI_PRIME
+        assert to_m & CERTIFIED_PSI_PRIME
+    if c.is_absolutely_continuous and V.PSI_MIXING in verdicts:
+        assert V.NOT_PSI_STAR_MIXING in to_m
+        assert V.PSI_MIXING in to_pi

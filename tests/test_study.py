@@ -1,5 +1,6 @@
 """Tests for the experiment drivers between config and CLI."""
 
+import hashlib
 import json
 
 import pytest
@@ -138,6 +139,26 @@ def test_mixing_report_set_tries_each_lag_density_once(monkeypatch, n_max, attem
     assert complete
     assert [r["n"] for r in doc["reports"]] == list(range(1, n_max + 1))
 
+
+
+# SHA-256 of each shipped mixing report as reproduce_study.py writes it: FGM
+# and Mardia polynomial arithmetic, so the bytes hold on any platform
+SHIPPED_MIXING_SHA256 = {
+    "fgm": "8c8163720795f8d3da2c52b66869c082c500bf43ab66f1a324f8c3e82b659d32",
+    "fgm_m": "12bee8e3afe8b6bf5bf82bbc13b2c5f14181171816266e273582e46d3b0ce419",
+    "frechet": "9350e7b600f8470e8a55fa88c32326babdbae0623da45102dc853319aaff4ca7",
+    "frechet_fgm": "be8da37524ea1c17867f6a9b32681f1ded77e4cdcec64797107070431cd12edf",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_MIXING_SHA256))
+def test_shipped_mixing_reports_are_pinned(tmp_path, name):
+    cfg = default_study_config()
+    doc, complete = mixing_report_set(cfg, name, mixing.DEFAULT_N_MAX, mixing.DEFAULT_RESOLUTION)
+    path = tmp_path / f"mixing_{name}.json"
+    write_json(doc, path)
+    assert complete
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SHIPPED_MIXING_SHA256[name]
 
 def test_surface_csv_corners(tmp_path):
     path = tmp_path / "s.csv"
