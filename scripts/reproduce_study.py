@@ -8,10 +8,9 @@ Running this script is equivalent to:
     copulamix mixing NAME --config configs/table4.json   (for every copula)
 
 Everything is seeded from the config, so two runs produce byte-identical
-files.  The table takes about 15 seconds on one worker (13 s measured on a
-shared 2-vCPU Intel Xeon virtual machine with Python 3.11); pass --workers to
-spread the cells over processes.  The figures and mixing reports take under a
-second.
+files.  The table takes under 10 seconds on one worker (a whole run took 7.4 s
+on a shared 2-vCPU virtual machine with Python 3.11); pass --workers to spread
+the cells over processes.  The figures and mixing reports take under a second.
 """
 
 import argparse

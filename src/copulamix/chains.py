@@ -3,16 +3,14 @@
 A chain starts from a uniform draw and advances by inverting the conditional
 CDF of the driving copula: given the previous state u and a fresh uniform w,
 the next state is the root v of ``conditional_cdf(c, u, v) = w``.  Each leaf
-family owns that root as ``cond_u_inv_raw``: closed forms for Pi, M, W,
-Gaussian, FGM and AMH, the base's root for a reflection, bisection for
-numeric folds.  A chain plans its step once.  A leaf family turns a whole
-matrix of draws into paths with ``chain_raw``, which steps ``cond_u_inv_raw``
-unless the family overrides it: a Gaussian chain is an AR(1) in normal
-scores.  Convex combinations and Mardia mixtures (a fresh draw, a copy or a
-flip of the state) share one mixture rule: a dedicated selector stream gives
-one draw per step, every part steps through ``cond_u_inv_raw``, and the draw
-picks one part's result.  A part's state may come from another part, so a
-Gaussian part steps too.
+family owns that root in closed form as ``cond_u_inv_raw``.  A chain plans its
+step once.  A leaf family turns a whole matrix of draws into paths with
+``chain_raw``, which steps ``cond_u_inv_raw`` unless the family overrides it:
+a Gaussian chain is an AR(1) in normal scores.  Convex combinations and Mardia
+mixtures (a fresh draw, a copy or a flip of the state) draw a part on a
+dedicated selector stream.  A numeric fold L * R is the two-step transition of
+a chain that moves by L and then by R (Darsow, Nguyen and Olsen 1992), so it
+steps L and then R on a selector draw.  No step finds a root numerically.
 
 All chains are stationary from the first step, so no burn-in is performed.
 """
@@ -25,7 +23,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .copulas import PI, M, W, Convex, Copula, Mardia
+from .copulas import PI, M, W, Convex, Copula, Mardia, NumericFold, Reflected, _reflect
 from .errors import DomainError
 from .normal import norm_ppf
 from .rng import CHAIN_STREAM, NORMAL_STREAM, SELECTOR_STREAM, open_uniform_rows
@@ -99,34 +97,41 @@ class ChainSample:
 
 
 def _plan(c: Copula) -> tuple:
-    """(selector draws per step, plan) for chains of ``c``: a leaf's plan is its
-    conditional quantile, a mixture's is (cuts, plans of its parts)."""
+    """(selector draws per step, step) for chains of ``c``, where
+    ``step(u_prev, w, sel)`` moves every row on by its chain draw w and its
+    selector columns.  A leaf steps its conditional quantile.  A mixture steps
+    every part on every row with the columns after its own and keeps, per row,
+    the part its draw falls in: the last cut it reaches, as the cuts never
+    decrease.  A fold L * R steps L on w and the columns after its own, then R
+    on its own column and the columns after L's.  A reflected mixture or fold
+    steps its normal form.
+    """
+    if isinstance(c, Reflected) and isinstance(c.base, (Convex, Mardia, NumericFold, Reflected)):
+        return _plan(_reflect(c.base, c.flip_u, c.flip_v))
+    if isinstance(c, NumericFold):
+        (k_left, left), (k_right, right) = _plan(c.left), _plan(c.right)
+
+        def fold_step(u_prev, w, sel):
+            mid = left(u_prev, w, sel[:, 1:1 + k_left])
+            return right(mid, sel[:, 0], sel[:, 1 + k_left:])
+        return 1 + k_left + k_right, fold_step
     if isinstance(c, Convex):
         cuts, parts = np.cumsum(c.weights)[:-1], c.components
     elif isinstance(c, Mardia) and c not in (PI, M, W):
         # a fresh draw below 1 - a - b, a flip from 1 - b on, a copy in between
         cuts, parts = (1.0 - c.a - c.b, 1.0 - c.b), (PI, M, W)
     else:
-        return 0, c.cond_u_inv_raw
+        return 0, lambda u_prev, w, sel: c.cond_u_inv_raw(u_prev, w)
     plans = [_plan(p) for p in parts]
-    return 1 + max(k for k, _ in plans), (cuts, [plan for _, plan in plans])
+    steps = [step for _, step in plans]
 
-
-def _step(plan, u_prev: np.ndarray, w: np.ndarray, sel) -> np.ndarray:
-    """Advance every row one step: u_prev, w -> next state.
-
-    A mixture steps every part on every row with the selector columns after
-    its own.  Each row keeps part j for the last cut j - 1 its draw reaches;
-    the cuts never decrease, so that is the part the draw falls in.
-    """
-    if callable(plan):
-        return plan(u_prev, w)
-    cuts, parts = plan
-    s, inner = sel[:, 0], sel[:, 1:]
-    out = _step(parts[0], u_prev, w, inner)
-    for cut, part in zip(cuts, parts[1:]):
-        out = np.where(s >= cut, _step(part, u_prev, w, inner), out)
-    return out
+    def mixture_step(u_prev, w, sel):
+        s, inner = sel[:, 0], sel[:, 1:]
+        out = steps[0](u_prev, w, inner)
+        for cut, step in zip(cuts, steps[1:]):
+            out = np.where(s >= cut, step(u_prev, w, inner), out)
+        return out
+    return 1 + max(k for k, _ in plans), mixture_step
 
 
 def uniform_chain_matrix(c: Copula, n: int, seeds: Sequence[int]) -> np.ndarray:
@@ -135,11 +140,11 @@ def uniform_chain_matrix(c: Copula, n: int, seeds: Sequence[int]) -> np.ndarray:
     Row i is bit-for-bit the chain that ``sample_chain(c, n, seeds[i])``
     returns, so batch and single-chain runs agree exactly.  The chain draws
     become the states in place: a leaf family turns them into its path with
-    ``chain_raw``, a mixture steps its parts.
+    ``chain_raw``, a mixture or a fold steps its parts.
     """
     if n < 1:
         raise DomainError("chain length must be at least 1")
-    k, plan = _plan(c)
+    k, step = _plan(c)
     seeds = [int(s) for s in seeds]
     u = open_uniform_rows(seeds, CHAIN_STREAM, n)
     if not k:
@@ -147,7 +152,7 @@ def uniform_chain_matrix(c: Copula, n: int, seeds: Sequence[int]) -> np.ndarray:
         return u
     sel = open_uniform_rows(seeds, SELECTOR_STREAM, (n - 1) * k).reshape(len(seeds), n - 1, k)
     for t in range(1, n):
-        u[:, t] = _step(plan, u[:, t - 1], u[:, t], sel[:, t - 1])
+        u[:, t] = step(u[:, t - 1], u[:, t], sel[:, t - 1])
     return u
 
 

@@ -29,7 +29,6 @@ Parameter conventions:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -46,7 +45,6 @@ from .errors import (
 )
 from .normal import BLOCK_ELEMS, norm_cdf, norm_ppf
 from .quadrature import unit_rule
-from .rootfind import invert_increasing
 
 MAX_NUMERIC_FOLD_DEPTH = 8
 WEIGHT_TOL = 1e-12
@@ -100,11 +98,10 @@ class Copula:
     def cond_u_inv_raw(self, u, w):
         """The v with cond_u_raw(u, v) = w: the next chain state after u for a uniform w.
 
-        The base rule bisects ``cond_u_raw`` and clips v into [2^-53, 1 - 2^-53];
-        families with a closed-form inverse override it.
+        Families with a closed-form inverse override it and clip v into
+        [2^-53, 1 - 2^-53].  Chains step a mixture or a fold through its parts.
         """
-        root = invert_increasing(lambda v: self.cond_u_raw(u, v), w)
-        return np.clip(root, _U_LO, _U_HI)
+        raise UnsupportedCopulaError(f"{type(self).__name__} has no conditional quantile")
 
     def chain_raw(self, w):
         """Turn a (rows, n) matrix of uniform draws into chain paths, in place.
@@ -943,14 +940,3 @@ def from_dict(d: dict) -> Copula:
     except KeyError as exc:
         raise ConfigError(f"copula specification for '{fam}' is missing field {exc}") from exc
 
-
-def to_json(c: Copula) -> str:
-    return json.dumps(to_dict(c), separators=(", ", ": "))
-
-
-def from_json(text: str) -> Copula:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid copula JSON: {exc}") from exc
-    return from_dict(data)

@@ -22,19 +22,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .chains import Marginal, iid_normal_matrix, uniform_chain_matrix
+from .chains import Marginal, _plan, iid_normal_matrix, uniform_chain_matrix
 from .copulas import Copula
 from .errors import DegenerateSampleError, DomainError
 from .normal import BLOCK_ELEMS, norm_ppf
 from .rng import derive_seed
 
-# Memory for one batch of chains at three float64 values per row and step:
-# the chain draws, which the states overwrite in place, and up to two selector
-# draws (the shipped frechet_fgm mixture takes two a step).  It holds 279 rows
-# at n = 20000, so every cell of the shipped study is one batch.  The rows of
-# a batch then go through the marginal's quantile, get their auxiliary normals
-# and their estimates in blocks of BLOCK_ELEMS values: 16 rows at n = 2000,
-# one row from n = 16385 on.
+# Memory for one batch of chains at the plan's float64 draws per row and step,
+# never counted below three: the chain draws, which the states overwrite in
+# place, and the selector draws (two for the shipped frechet_fgm mixture).  It
+# holds 279 rows at n = 20000, so every cell of the shipped study is one batch.
+# The rows of a batch then go through the marginal's quantile, get their
+# auxiliary normals and their estimates in blocks of BLOCK_ELEMS values: 16
+# rows at n = 2000, one row from n = 16385 on.
 BATCH_BYTES = 128 * 2 ** 20
 
 
@@ -193,7 +193,7 @@ def replicate_robust_means(
 def _row_blocks(c: Copula, n: int, reps: int, seed: int):
     """(seeds, uniform chains) of replications 0..reps-1, simulated in batches
     that fit BATCH_BYTES and handed out in blocks of BLOCK_ELEMS values."""
-    batch = max(1, min(reps, BATCH_BYTES // (3 * 8 * max(n, 1))))
+    batch = max(1, min(reps, BATCH_BYTES // (max(3, 1 + _plan(c)[0]) * 8 * max(n, 1))))
     block = max(1, BLOCK_ELEMS // max(n, 1))
     for start in range(0, reps, batch):
         seeds = [derive_seed(seed, r) for r in range(start, min(start + batch, reps))]

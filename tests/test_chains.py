@@ -1,6 +1,7 @@
 """Stationary chain sampling: determinism, law correctness, marginals, CSV."""
 
 import hashlib
+import sys
 
 import numpy as np
 import pytest
@@ -32,8 +33,10 @@ from copulamix.copulas import (
     Reflected,
     cdf,
     fold,
+    n_fold,
 )
-from copulamix.errors import DomainError
+from copulamix import rootfind
+from copulamix.errors import DomainError, UnsupportedCopulaError
 from copulamix.rng import CHAIN_STREAM, SELECTOR_STREAM, derive_seed, open_uniform_rows
 from oracles import amh_transition_root
 
@@ -50,6 +53,8 @@ SAMPLEABLE = (
     Convex((0.6, 0.4), (Fgm(0.6), M)),
     Convex((0.5, 0.3, 0.2), (Frechet(0.6), Fgm(0.6), PI)),
     fold(Frechet(0.6), Amh(0.5)),  # AMH, AMH reflected and Pi
+    NumericFold(Fgm(0.8), Gaussian(0.4)),
+    n_fold(Amh(0.5), 3),
 )
 
 _LO = 0.5**53
@@ -208,6 +213,10 @@ def test_selector_draws_per_step():
     assert _plan(Frechet(0.6))[0] == 1
     assert _plan(Convex((0.5, 0.5), (Frechet(0.6), M)))[0] == 2
     assert _plan(Convex((0.5, 0.5), (Fgm(0.6), PI)))[0] == 1
+    # a fold takes one draw for its right factor's step and the draws of both factors
+    assert _plan(NumericFold(Fgm(0.8), Gaussian(0.4)))[0] == 1
+    assert _plan(NumericFold(Convex((0.5, 0.5), (Fgm(0.6), PI)), Amh(0.5)))[0] == 2
+    assert _plan(n_fold(Amh(0.5), 4))[0] == 3
 
 
 def test_convex_chain_mixes_component_transitions():
@@ -259,6 +268,57 @@ def test_quadrature_fold_chain_stays_uniform():
     u = sample_chain(c, 400, 61).uniforms
     d = scipy.stats.kstest(u, "uniform").statistic
     assert d < 0.1
+
+
+def test_fold_chain_steps_its_factors():
+    # L * R moves by L on the chain draw, then by R on the selector draw
+    c = NumericFold(Fgm(0.8), Amh(0.5))
+    seeds = [derive_seed(62, i) for i in range(6)]
+    n = 300
+    u = open_uniform_rows(seeds, CHAIN_STREAM, n)
+    sel = open_uniform_rows(seeds, SELECTOR_STREAM, n - 1)
+    for t in range(1, n):
+        u[:, t] = c.right.cond_u_inv_raw(c.left.cond_u_inv_raw(u[:, t - 1], u[:, t]),
+                                         sel[:, t - 1])
+    assert uniform_chain_matrix(c, n, seeds).tobytes() == u.tobytes()
+    with pytest.raises(UnsupportedCopulaError):
+        c.cond_u_inv_raw(u[:, 0], u[:, 1])
+
+
+FOLD_CHAINS = (
+    NumericFold(Fgm(0.8), Gaussian(0.4)),
+    NumericFold(Amh(0.9), Amh(0.9)),
+    NumericFold(Amh(-1.0), Reflected(Amh(0.7), True, False)),
+    n_fold(Amh(0.5), 3),
+    Reflected(NumericFold(Amh(0.9), Gaussian(0.5)), True, False),
+    Reflected(Convex((0.5, 0.5), (Fgm(0.6), M)), False, True),
+    Reflected(Mardia(0.3, 0.2), True, False),
+)
+
+
+@pytest.mark.parametrize("c", FOLD_CHAINS, ids=lambda c: repr(c)[:40])
+def test_fold_chain_joint_frequency_matches_the_cdf(c):
+    u = uniform_chain_matrix(c, 500, range(100, 160))  # 60 chains, 29 940 steps
+    for a, b in ((0.3, 0.3), (0.3, 0.8), (0.7, 0.5)):
+        hit = np.mean((u[:, :-1] <= a) & (u[:, 1:] <= b))
+        assert hit == pytest.approx(cdf(c, a, b), abs=0.01), (a, b)
+    assert scipy.stats.kstest(u.ravel(), "uniform").statistic < 0.015
+    assert u.min() >= _LO and u.max() <= _HI
+
+
+def test_fold_chains_find_no_root(monkeypatch):
+    def no_root(*args, **kwargs):
+        raise AssertionError("a chain step called the root finder")
+
+    # every binding of the root finder in the package, wherever it was imported
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "copulamix":
+            for attr, value in list(vars(module).items()):
+                if value is rootfind.invert_increasing:
+                    monkeypatch.setattr(module, attr, no_root)
+    c = Convex((0.9, 0.1), (PI, NumericFold(Fgm(0.8), Gaussian(0.4))))
+    assert uniform_chain_matrix(c, 100, range(20)).shape == (20, 100)
+    assert uniform_chain_matrix(n_fold(Amh(0.5), 4), 100, range(20)).shape == (20, 100)
 
 
 def test_reflected_amh_joint_frequency_matches_the_cdf():

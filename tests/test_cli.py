@@ -85,7 +85,9 @@ def test_fold_usage_errors_exit_2():
     assert runner.invoke(main, ["fold", "fgm", "fgm", "--n", "2"]).exit_code == 2
     assert runner.invoke(main, ["fold", "fgm", "--n", "0"]).exit_code == 2
     assert runner.invoke(main, ["fold", "nope", "fgm"]).exit_code == 2
-    assert runner.invoke(main, ["fold", "{bad json", "fgm"]).exit_code == 2
+    result = runner.invoke(main, ["fold", "{not json", "fgm"])
+    assert result.exit_code == 2
+    assert "inline copula is not valid JSON" in result.output
     bad = '{"family": "fgm", "theta": 7}'
     assert runner.invoke(main, ["fold", bad, "fgm"]).exit_code == 2
 

@@ -23,6 +23,7 @@ from copulamix import (
     bandwidth,
     default_study_config,
     derive_seed,
+    n_fold,
     population_bandwidth,
     replicate_robust_means,
     robust_mean,
@@ -224,6 +225,27 @@ def test_shipped_study_cell_is_one_batch(monkeypatch):
     with pytest.raises(FirstBatch) as info:
         replicate_robust_means(Fgm(0.6), Uniform01(), 20_000, 200, 0.95, seed=1)
     assert info.value.args == (200,)
+
+
+def test_batch_size_counts_the_plan_draws_per_step(monkeypatch):
+    # the budget holds 10 rows at three values per step, the floor every
+    # shipped copula is sized at (Pi takes one draw a step, frechet_fgm
+    # three); a fold of four AMH factors takes four, so 7 rows fit
+    n = 40
+    monkeypatch.setattr(robust, "BATCH_BYTES", 10 * 3 * 8 * n)
+    sizes = []
+    original = robust.uniform_chain_matrix
+
+    def recording(c, n, seeds):
+        sizes.append(len(seeds))
+        return original(c, n, seeds)
+
+    monkeypatch.setattr(robust, "uniform_chain_matrix", recording)
+    frechet_fgm = dict(default_study_config().copulas)["frechet_fgm"]
+    for c, batch in ((PI, 10), (frechet_fgm, 10), (n_fold(Amh(0.5), 4), 7)):
+        sizes.clear()
+        replicate_robust_means(c, Uniform01(), n, 12, 0.95, seed=3)
+        assert sizes == [batch, 12 - batch], c
 
 
 BLOCK_COPULAS = (
