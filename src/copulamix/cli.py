@@ -20,6 +20,7 @@ from .copulas import Copula, fold as fold_op, from_dict, n_fold, to_dict
 from .errors import ConfigError, CopulamixError
 from .mixing import DEFAULT_N_MAX, DEFAULT_RESOLUTION
 from .study import (
+    _safe_name,
     axiom_check,
     figure_data,
     mixing_report_set,
@@ -122,34 +123,22 @@ def mixing(name, n_max, resolution, config_path, out_dir):
         raise ConfigError("--n-max must be at least 1")
     if resolution < 8:
         raise ConfigError("--resolution must be at least 8")
-    doc, complete = mixing_report_set(cfg, name, n_max, resolution)
+    doc, reports = mixing_report_set(cfg, name, n_max, resolution)
     out = Path(out_dir or cfg.outputs)
     out.mkdir(parents=True, exist_ok=True)
-    path = out / f"mixing_{name.replace('@', '-')}.json"
+    path = out / f"mixing_{_safe_name(name)}.json"
     write_json(doc, path)
-    first = doc["reports"][0]
     click.echo(f"copula: {name}")
-    for finding in first["findings"]:
-        mark = "certified" if finding["certified"] else "evidence"
-        click.echo(f"  verdict: {finding['verdict']}  [{finding['rule']}, {mark}]")
+    for finding in reports[0].findings:
+        mark = "certified" if finding.certified else "evidence"
+        click.echo(f"  verdict: {finding.verdict.value}  [{finding.rule}, {mark}]")
     click.echo(f"{'lag':>4} {'dens_min':>12} {'dens_max':>12} {'psi_prime>=':>12} {'psi_star<=':>12}")
-    for rep in doc["reports"]:
+    for rep in reports:
         click.echo(
-            "%4d %12s %12s %12s %12s"
-            % (rep["n"], _fmt(rep["density_min"]), _fmt(rep["density_max"]),
-               _fmt(rep["psi_prime_lower"]), _fmt(rep["psi_star_upper"]))
+            "%4d %12.6g %12.6g %12.6g %12.6g"
+            % (rep.n, rep.density_min, rep.density_max, rep.psi_prime_lower, rep.psi_star_upper)
         )
     click.echo(f"report written to {path}")
-    if not complete:
-        click.echo("a lag's density or corner scan is unavailable; "
-                   "report truncated to computable parts", err=True)
-        sys.exit(EXIT_NUMERIC)
-
-
-def _fmt(value) -> str:
-    if value == "inf":  # the report's JSON form of an infinite bound
-        return value
-    return f"{value:.6g}"
 
 
 @main.command()

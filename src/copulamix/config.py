@@ -63,6 +63,15 @@ class ExperimentConfig:
         names = [name for name, _ in self.copulas]
         if len(set(names)) != len(names):
             raise ConfigError("copula names must be unique")
+        for name in names:
+            # '@' starts a perturbation suffix in resolve, and a name becomes
+            # part of an output file name
+            if any(ch in name for ch in "@/\\"):
+                raise ConfigError(f"copula name {name!r} must not contain '@', '/' or '\\'")
+        # a suffix names the figure files of its perturbation
+        suffixes = [p.suffix for p in self.perturbations]
+        if len(set(suffixes)) != len(suffixes):
+            raise ConfigError(f"perturbations must have distinct suffixes, got {suffixes}")
         if self.replications < 1:
             raise ConfigError("replication count must be at least 1")
 

@@ -814,6 +814,8 @@ class DensityGrid:
     def __post_init__(self):
         if self.values.shape != (self.resolution, self.resolution):
             raise DomainError("density grid shape must match its resolution")
+        if not np.all(np.isfinite(self.values)):
+            raise DomainError("density values must be finite")
         if np.any(self.values < 0.0):
             raise DomainError("density values must be nonnegative")
 

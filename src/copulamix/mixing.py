@@ -16,10 +16,11 @@ The lag lives in the fold algebra alone: the lag-n envelope is the envelope of
 ``psi_prime_lower`` and ``psi_star_upper`` are the lag-n density's minimum
 (capped at 1) and maximum (raised to 1) over a midpoint grid: estimates, not
 bounds, since a grid can only overstate the infimum and understate the
-supremum.  Only where the lag-n law would nest numeric folds past the depth
-cap does ``psi_prime_lower`` hold the lag-1 envelope floor, a true bound.
-Grid maxima across resolutions and corner-event scans give uncertified
-psi-star evidence where the envelopes leave that side open.
+supremum.  Every lag-n entry point folds the lag-n law first, so a lag whose
+law would nest numeric folds past the depth cap raises ``FoldDepthError``
+before any grid is built; a report is never partial.  Grid maxima across
+resolutions and corner-event scans give uncertified psi-star evidence where
+the envelopes leave that side open.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .copulas import (
     reflect_u,
     reflect_v,
 )
-from .errors import DomainError, FoldDepthError
+from .errors import DomainError
 
 DEFAULT_RESOLUTION = 256
 DEFAULT_N_MAX = 3
@@ -93,12 +94,6 @@ class MixingReport:
     def verdicts(self) -> tuple:
         return tuple(f.verdict for f in self.findings)
 
-    @property
-    def complete(self) -> bool:
-        """True when both the lag-n density and the corner scan were computable."""
-        has_density = self.density_max < math.inf or self.density_unbounded_evidence
-        return has_density and bool(self.corner_scan)
-
     def to_dict(self) -> dict:
         def num(x):
             return "inf" if math.isinf(x) else x
@@ -135,11 +130,9 @@ def psi_prime_lower_bound(c: Copula, n: int, m: int = DEFAULT_RESOLUTION) -> flo
 
     It is the minimum of the lag-n density over the m x m midpoint grid,
     capped at 1: an estimate of the density's essential infimum from above,
-    not a bound.  When the lag-n law would nest numeric folds past the cap it
-    is the lag-1 envelope floor, which is a certified lower bound.
+    not a bound.
     """
-    cn = _lag_law(c, n)
-    return _envelope(c)[0] if cn is None else min(_grid_extrema(cn, m)[0], 1.0)
+    return min(density_extrema(c, n, m)[0], 1.0)
 
 
 def _corner_probability(c: Copula, eps: float, flip_u: bool, flip_v: bool) -> float:
@@ -240,14 +233,6 @@ def _envelope(c: Copula) -> tuple:
     return 0.0, math.inf, False
 
 
-def _lag_law(c: Copula, n: int):
-    """The lag-n law of ``c``, or None where it would nest numeric folds past the cap."""
-    try:
-        return n_fold(c, n)
-    except FoldDepthError:
-        return None
-
-
 def lag_report(
     c: Copula,
     n: int,
@@ -255,13 +240,11 @@ def lag_report(
     eps_list: Sequence[float] = DEFAULT_EPS_LADDER,
 ) -> MixingReport:
     """The lag-n numbers as a report without findings; ``lag_reports`` attaches them."""
-    return _report(c, check_lag(n), _lag_law(c, n), m, eps_list)
+    return _report(check_lag(n), n_fold(c, n), m, eps_list)
 
 
-def _report(c: Copula, n: int, cn, m: int, eps_list: Sequence[float]) -> MixingReport:
-    """The lag-n report of ``c`` from its lag-n law ``cn``."""
-    if cn is None:  # no lag-n law to evaluate: keep the envelope floor alone
-        return MixingReport(n, 0.0, math.inf, False, float(_envelope(c)[0]), math.inf, ())
+def _report(n: int, cn: Copula, m: int, eps_list: Sequence[float]) -> MixingReport:
+    """The lag-n report from the lag-n law ``cn``."""
     lo, hi = _grid_extrema(cn, m)
     unbounded = False
     # the refinement ladder is affordable only for closed-form densities;
@@ -282,10 +265,10 @@ def _report(c: Copula, n: int, cn, m: int, eps_list: Sequence[float]) -> MixingR
     )
 
 
-def _findings(c: Copula, first: MixingReport, second) -> tuple:
+def _findings(c: Copula, first: MixingReport, second: Copula) -> tuple:
     """Verdicts from the lag-1 envelope of ``c`` and the envelope of its lag-2
-    law ``second`` (None past the fold-depth cap), plus grid evidence from the
-    lag-1 report ``first`` where the envelopes leave the psi-star side open.
+    law ``second``, plus grid evidence from the lag-1 report ``first`` where
+    the envelopes leave the psi-star side open.
 
     Every absolutely continuous family here has a density positive almost
     everywhere, so its chain is ergodic and aperiodic (Longla and Peligrad
@@ -296,7 +279,7 @@ def _findings(c: Copula, first: MixingReport, second) -> tuple:
     Grid findings are marked not certified; PsiMixing and NotPsiStarMixing are
     never reported together.
     """
-    envelopes = [_envelope(c)] + ([] if second is None else [_envelope(second)])
+    envelopes = [_envelope(c), _envelope(second)]
     floor = max(lo for lo, _, _ in envelopes)
     ceiling = min(hi for _, hi, _ in envelopes)
     unbounded = any(flag for _, _, flag in envelopes)
@@ -333,7 +316,7 @@ def lag_reports(c: Copula, n_max: int = DEFAULT_N_MAX, m: int = DEFAULT_RESOLUTI
 
     The findings read the lag-2 law, folded once more when n_max is 1.
     """
-    laws = [_lag_law(c, lag) for lag in range(1, check_lag(n_max) + 1)]
-    reports = [_report(c, lag, cn, m, DEFAULT_EPS_LADDER) for lag, cn in enumerate(laws, 1)]
-    findings = _findings(c, reports[0], laws[1] if len(laws) > 1 else _lag_law(c, 2))
+    laws = [n_fold(c, lag) for lag in range(1, check_lag(n_max) + 1)]
+    reports = [_report(lag, cn, m, DEFAULT_EPS_LADDER) for lag, cn in enumerate(laws, 1)]
+    findings = _findings(c, reports[0], laws[1] if len(laws) > 1 else n_fold(c, 2))
     return tuple(replace(r, findings=findings) for r in reports)

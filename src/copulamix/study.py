@@ -46,9 +46,9 @@ def simulate_to_csv(cfg: ExperimentConfig, name: str, n: int, seed: int, out_dir
 def mixing_report_set(cfg: ExperimentConfig, name: str, n_max: int, resolution: int) -> tuple:
     """One report per lag 1..n_max, each carrying the classification.
 
-    Returns (document, complete): the document is JSON-ready; complete is
-    False when some lag lacks its density or its corner scan, in which case
-    the reports carry only the computable parts.
+    Returns (document, reports): the JSON-ready document and the
+    ``MixingReport`` tuple it was built from.  A lag whose law would nest
+    numeric folds past the depth cap raises ``FoldDepthError``.
     """
     c = cfg.resolve(name)
     reports = lag_reports(c, n_max, resolution)
@@ -58,7 +58,7 @@ def mixing_report_set(cfg: ExperimentConfig, name: str, n_max: int, resolution: 
         "resolution": resolution,
         "reports": [r.to_dict() for r in reports],
     }
-    return doc, all(r.complete for r in reports)
+    return doc, reports
 
 
 def _study_cell(args) -> tuple:

@@ -1,16 +1,16 @@
 """End-to-end tests for the command-line interface and the reproduce script."""
 
-import importlib.util
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from copulamix import copulas, default_study_config, to_dict
+from copulamix import default_study_config, to_dict
 from copulamix.cli import main
 
 runner = CliRunner()
@@ -164,6 +164,18 @@ def test_simulate_validation(tmp_path):
     assert runner.invoke(main, ["simulate", "fgm", "--n", "5", "--config", missing]).exit_code == 2
 
 
+@pytest.mark.parametrize("name", ["a/b", "fgm@pi0.4"])
+def test_a_declared_name_resolve_cannot_return_is_a_config_error(tmp_path, name):
+    # "a/b" would name a file in a missing directory, and "fgm@pi0.4" would
+    # resolve to the FGM shift instead of the AMH declared under that name
+    cfg = _small_config(tmp_path, copulas={"fgm": {"family": "fgm", "theta": 0.6},
+                                           name: {"family": "amh", "theta": 0.5}})
+    result = runner.invoke(main, ["simulate", name, "--n", "5", "--config", str(cfg)])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("config error:") and "must not contain" in result.stderr
+    assert not (tmp_path / "results").exists()
+
+
 # ---------------------------------------------------------------------------
 # mixing
 # ---------------------------------------------------------------------------
@@ -201,38 +213,22 @@ FRECHET_X_GAUSSIAN = {"family": "numeric_fold", "left": {"family": "frechet", "t
                       "right": {"family": "gaussian", "r": 0.5}}
 
 
-def test_mixing_truncated_report_exits_3_but_still_writes(tmp_path, monkeypatch):
-    # with the fold-depth cap at 0, AMH's lag-2 law is past it
-    monkeypatch.setattr(copulas, "MAX_NUMERIC_FOLD_DEPTH", 0)
+def test_mixing_past_the_fold_depth_cap_exits_3_and_writes_nothing(tmp_path):
+    # AMH's lag-10 law nests numeric folds to depth 9: the command fails while
+    # folding, before it evaluates any lag
     cfg = _small_config(tmp_path, copulas={"hard": AMH})
     out = tmp_path / "mix"
+    start = time.perf_counter()
     result = runner.invoke(
         main,
-        ["mixing", "hard", "--n-max", "2", "--resolution", "16",
+        ["mixing", "hard", "--n-max", "10", "--resolution", "8",
          "--config", str(cfg), "--out", str(out)],
     )
+    assert time.perf_counter() - start < 5.0
     assert result.exit_code == 3
-    assert (out / "mixing_hard.json").exists()
-
-
-def test_mixing_past_the_fold_depth_cap_exits_3_with_every_lag(tmp_path, monkeypatch):
-    # lags 2 to 4 nest the numeric fold past MAX_NUMERIC_FOLD_DEPTH: their
-    # reports keep only the envelope floor instead of aborting the command
-    monkeypatch.setattr(copulas, "MAX_NUMERIC_FOLD_DEPTH", 0)
-    cfg = _small_config(tmp_path, copulas={"hard": AMH})
-    out = tmp_path / "mix"
-    result = runner.invoke(
-        main,
-        ["mixing", "hard", "--n-max", "4", "--resolution", "8",
-         "--config", str(cfg), "--out", str(out)],
-    )
-    assert result.exit_code == 3
-    doc = json.loads((out / "mixing_hard.json").read_text())
-    assert [r["n"] for r in doc["reports"]] == list(range(1, 5))
-    assert doc["reports"][0]["corner_scan"] != []
-    last = doc["reports"][-1]
-    assert last["density_max"] == "inf" and last["psi_star_upper"] == "inf"
-    assert last["corner_scan"] == []
+    assert result.stderr == "numeric failure: numeric fold nesting reached depth 9 > cap 8\n"
+    assert result.stdout == ""
+    assert not out.exists()
 
 
 def test_mixing_of_a_fold_with_a_singular_factor_exits_0_with_its_report(tmp_path):
@@ -379,21 +375,13 @@ def test_reproduce_study_without_the_table_completes_on_the_shipped_config(tmp_p
     assert proc.returncode == 0, proc.stderr
     for name in ("fgm", "fgm_m", "frechet", "frechet_fgm"):
         assert json.loads((tmp_path / f"mixing_{name}.json").read_text())["copula"] == name
-    assert "partial report" not in proc.stdout
     assert len(list(tmp_path.glob("figure*.csv"))) == 10
     assert not (tmp_path / "table4.csv").exists()
 
 
-def test_reproduce_study_marks_a_partial_report_and_carries_on(tmp_path, monkeypatch, capsys):
-    # with the fold-depth cap at 0, AMH's lags 2 and 3 have no lag-n law
-    doc = json.loads((ROOT / "configs" / "table4.json").read_text())
-    doc["copulas"]["hard"] = AMH
-    config = tmp_path / "with_hard.json"
-    config.write_text(json.dumps(doc))
-    spec = importlib.util.spec_from_file_location("reproduce_study", ROOT / "scripts" / "reproduce_study.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    monkeypatch.setattr(copulas, "MAX_NUMERIC_FOLD_DEPTH", 0)
-    assert script.main(["--skip-table", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
-    partial = [line for line in capsys.readouterr().out.splitlines() if "partial report" in line]
-    assert len(partial) == 1 and "mixing_hard.json" in partial[0]
+def test_reproduce_study_fails_like_the_cli(tmp_path):
+    proc = _reproduce_without_the_table(tmp_path / "missing.json", tmp_path / "out")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error: cannot read config")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -113,6 +114,22 @@ def test_config_field_validation():
         )
     with pytest.raises(ConfigError):
         ExperimentConfig(base.copulas, base.marginal, base.sizes, (), 1, 0, "out")
+
+
+@pytest.mark.parametrize("name", ["fgm@pi0.4", "a/b", "a\\b"])
+def test_config_rejects_a_name_resolve_cannot_return(name):
+    # resolve reads "fgm@pi0.4" as the FGM shift, and a name becomes part of a
+    # file name
+    base = default_study_config()
+    with pytest.raises(ConfigError, match="must not contain"):
+        replace(base, copulas=base.copulas + ((name, Fgm(0.5)),))
+
+
+def test_config_rejects_perturbations_whose_suffixes_coincide():
+    # both suffixes read "pi0.4", so their figure files would share a name
+    with pytest.raises(ConfigError, match="distinct suffixes"):
+        replace(default_study_config(),
+                perturbations=(Perturbation("pi", 0.4), Perturbation("pi", 0.4000001)))
 
 
 def test_parse_rejects_malformed_documents():

@@ -16,6 +16,7 @@ from copulamix.copulas import (
     Amh,
     Convex,
     Copula,
+    DensityGrid,
     Fgm,
     Frechet,
     Gaussian,
@@ -575,6 +576,14 @@ def test_density_grid_shape_and_mass():
     assert g.resolution == 64
     assert g.values.shape == (64, 64)
     assert g.values.mean() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5])
+def test_density_grid_rejects_values_that_are_not_finite_and_nonnegative(bad):
+    values = np.ones((2, 2))
+    values[1, 0] = bad
+    with pytest.raises(DomainError):
+        DensityGrid(2, values)
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,8 @@ from copulamix.copulas import (
     perturb_m,
     perturb_pi,
 )
-from copulamix import copulas, default_study_config, mixing
-from copulamix.errors import DomainError
+from copulamix import default_study_config, mixing
+from copulamix.errors import DomainError, FoldDepthError
 from copulamix.mixing import (
     MixingVerdict,
     classify,
@@ -227,12 +227,19 @@ def test_m_pi_combination_floor_is_the_pi_weight_of_its_power():
     assert psi_prime_lower_bound(c, 2, 32) == pytest.approx(0.75, abs=1e-15)
 
 
-def test_convex_floor_falls_back_to_a_product_term(monkeypatch):
-    # past the fold-depth cap the lag-2 law has no density grid, so the bound is
-    # the envelope floor: the weighted lag-1 floors, AMH(0.5)'s 0.5 and Pi's 1
-    monkeypatch.setattr(copulas, "MAX_NUMERIC_FOLD_DEPTH", 0)
-    c = Convex((0.5, 0.5), (Amh(0.5), PI))
-    assert psi_prime_lower_bound(c, 2, 32) == pytest.approx(0.5 * 0.5 + 0.5, abs=1e-15)
+@pytest.mark.parametrize("entry", [
+    lambda c, n: lag_report(c, n, 8),
+    lambda c, n: lag_reports(c, n, 8),
+    lambda c, n: psi_prime_lower_bound(c, n, 8),
+    lambda c, n: density_extrema(c, n, 8),
+    lambda c, n: corner_divergence_scan(c, n, (0.1,)),
+], ids=["lag_report", "lag_reports", "psi_prime_lower_bound", "density_extrema",
+        "corner_divergence_scan"])
+def test_every_lag_entry_point_raises_past_the_fold_depth_cap(entry):
+    # AMH's lag-10 law nests numeric folds to depth 9; the law is folded before
+    # any grid is built, so the error comes at once
+    with pytest.raises(FoldDepthError, match="depth 9 > cap 8"):
+        entry(Amh(0.5), 10)
 
 
 # ---------------------------------------------------------------------------
@@ -283,22 +290,16 @@ def test_lag_report_flags_gaussian_growth():
     assert rep.psi_star_upper == math.inf
 
 
-def test_lag_report_survives_unavailable_densities(monkeypatch):
-    # a fold with a singular factor has a closed form, so its report is complete
-    rep = lag_report(fold(Frechet(0.6), Gaussian(0.5)), 1, 16)
+@pytest.mark.parametrize("c, n, m", [
+    # a fold with a singular factor has a closed form
+    (fold(Frechet(0.6), Gaussian(0.5)), 1, 16),
+    (FRECHET_AMH, 2, 16),
+    (Gaussian(0.5), 1, 64),  # unbounded, yet computed
+], ids=repr)
+def test_lag_report_has_a_density_and_a_corner_scan(c, n, m):
+    rep = lag_report(c, n, m)
+    assert rep.density_max < math.inf or rep.density_unbounded_evidence
     assert len(rep.corner_scan) == 7
-    assert rep.complete
-    assert lag_report(FRECHET_AMH, 2, 16).complete
-    assert lag_report(Gaussian(0.5), 1, 64).complete  # unbounded, yet computed
-    # past the fold-depth cap the lag-2 law is never built: the report keeps
-    # the envelope floor, AMH(0.5)'s 0.5, and leaves the scan empty
-    monkeypatch.setattr(copulas, "MAX_NUMERIC_FOLD_DEPTH", 0)
-    rep = lag_report(Amh(0.5), 2, 8)
-    assert rep.psi_prime_lower == 0.5
-    assert rep.psi_star_upper == math.inf
-    assert rep.corner_scan == ()
-    assert not rep.complete
-    assert lag_report(Amh(0.5), 1, 16).complete
 
 
 @pytest.mark.parametrize("m, built", [
@@ -320,8 +321,7 @@ def test_unbounded_ladder_reuses_the_lag_grid(monkeypatch, m, built):
 
 
 def test_a_lag_density_grid_is_built_at_most_once(monkeypatch):
-    # one lag-2 grid gives the extrema and the floor; a lag past the fold-depth
-    # cap builds none, and its floor is the closed-form envelope's
+    # one lag-2 grid gives the extrema and the floor
     built = []
 
     def counting(c, res):
@@ -332,12 +332,6 @@ def test_a_lag_density_grid_is_built_at_most_once(monkeypatch):
     rep = lag_report(FRECHET_AMH, 2, 16)
     assert built == ["Convex"]
     assert rep.psi_prime_lower == psi_prime_lower_bound(FRECHET_AMH, 2, 16) > 0.0
-    built.clear()
-    monkeypatch.setattr(copulas, "MAX_NUMERIC_FOLD_DEPTH", 0)
-    rep = lag_report(FRECHET_AMH, 2, 16)
-    assert built == []
-    assert rep.psi_prime_lower == psi_prime_lower_bound(FRECHET_AMH, 2, 16) > 0.0
-    assert rep.psi_prime_lower == mixing._envelope(FRECHET_AMH)[0]
 
 
 def test_each_lag_is_folded_once(monkeypatch):

@@ -11,6 +11,7 @@ from copulamix import (
     Convex,
     ExperimentConfig,
     Fgm,
+    FoldDepthError,
     Frechet,
     Gaussian,
     Normal,
@@ -22,7 +23,7 @@ from copulamix import (
     fold,
     replicate_robust_means,
 )
-from copulamix import copulas, mixing
+from copulamix import mixing
 from copulamix.study import (
     TABLE_LEVEL,
     axiom_check,
@@ -100,8 +101,8 @@ def test_simulate_to_csv_names_files_after_the_request(tmp_path):
 
 
 def test_mixing_report_set_shares_findings_across_lags():
-    doc, density_ok = mixing_report_set(_tiny(), "fgm", 3, 64)
-    assert density_ok
+    doc, reports = mixing_report_set(_tiny(), "fgm", 3, 64)
+    assert doc["reports"] == [r.to_dict() for r in reports]
     assert doc["copula"] == "fgm"
     assert doc["spec"] == {"family": "fgm", "theta": 0.6}
     assert [r["n"] for r in doc["reports"]] == [1, 2, 3]
@@ -112,15 +113,18 @@ def test_mixing_report_set_shares_findings_across_lags():
     assert uppers[0] > uppers[1] > uppers[2]
 
 
-def test_mixing_report_set_is_incomplete_when_a_lag_lacks_its_density(monkeypatch):
+def test_mixing_report_set_past_the_fold_depth_cap_raises_before_any_grid(monkeypatch):
+    built = []
+
+    def counting(c, res):
+        built.append(res)
+        return density_grid(c, res)
+
+    monkeypatch.setattr(mixing, "density_grid", counting)
     cfg = _tiny(copulas=(("frechet_amh", Convex((0.6, 0.4), (Frechet(0.6), Amh(0.5)))),))
-    doc, complete = mixing_report_set(cfg, "frechet_amh", 2, 16)
-    assert complete
-    # with the fold-depth cap at 0, the lag-2 law (AMH folded with AMH) is not built
-    monkeypatch.setattr(copulas, "MAX_NUMERIC_FOLD_DEPTH", 0)
-    doc, complete = mixing_report_set(cfg, "frechet_amh", 2, 16)
-    assert not complete
-    assert doc["reports"][1]["density_max"] == "inf"
+    with pytest.raises(FoldDepthError):
+        mixing_report_set(cfg, "frechet_amh", 10, 8)
+    assert built == []
 
 
 @pytest.mark.parametrize("n_max, attempts", [(3, 3), (1, 1)])
@@ -134,9 +138,8 @@ def test_mixing_report_set_tries_each_lag_density_once(monkeypatch, n_max, attem
 
     monkeypatch.setattr(mixing, "density_grid", counting)
     cfg = _tiny(copulas=(("hard", fold(Frechet(0.6), Gaussian(0.5))),))
-    doc, complete = mixing_report_set(cfg, "hard", n_max, 16)
+    doc, _ = mixing_report_set(cfg, "hard", n_max, 16)
     assert len(built) == attempts
-    assert complete
     assert [r["n"] for r in doc["reports"]] == list(range(1, n_max + 1))
 
 
@@ -154,11 +157,28 @@ SHIPPED_MIXING_SHA256 = {
 @pytest.mark.parametrize("name", sorted(SHIPPED_MIXING_SHA256))
 def test_shipped_mixing_reports_are_pinned(tmp_path, name):
     cfg = default_study_config()
-    doc, complete = mixing_report_set(cfg, name, mixing.DEFAULT_N_MAX, mixing.DEFAULT_RESOLUTION)
+    doc, _ = mixing_report_set(cfg, name, mixing.DEFAULT_N_MAX, mixing.DEFAULT_RESOLUTION)
     path = tmp_path / f"mixing_{name}.json"
     write_json(doc, path)
-    assert complete
     assert hashlib.sha256(path.read_bytes()).hexdigest() == SHIPPED_MIXING_SHA256[name]
+
+
+# SHA-256 of each CDF surface of figures 1 and 4 for the shipped study: FGM and
+# Mardia polynomials again.  The chain CSVs go through exp and log, which can
+# move by an ulp across CPUs, so the determinism checks cover them instead.
+SHIPPED_SURFACE_SHA256 = {
+    "figure1_fgm_surface.csv": "7aa3fc6f832156e42f2c100ed6f8faf104635959afcf8ac08b7f0f867ea6a90f",
+    "figure1_fgm-pi0.4_surface.csv": "b23611cb70bf0a9a9b147bad2a9c39403625e7533af15dc72ec46d4a7a1e6609",
+    "figure4_frechet_surface.csv": "8ec0cbd71ba597ffebc3f5b9915068188e6e8cb3b4a5745c594e393aa87bf217",
+    "figure4_frechet-pi0.4_surface.csv": "1dfbe30cd1ed0409ef80d1f989a8e46a9fe82c692f0bb6767c9102e982c968f8",
+}
+
+
+def test_shipped_surfaces_are_pinned(tmp_path):
+    paths = figure_data(default_study_config(), 1, tmp_path)
+    paths += figure_data(default_study_config(), 4, tmp_path)
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
+    assert digests == SHIPPED_SURFACE_SHA256
 
 def test_surface_csv_corners(tmp_path):
     path = tmp_path / "s.csv"
