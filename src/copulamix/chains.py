@@ -189,7 +189,6 @@ def sample_iid_normal(n: int, seed: int) -> np.ndarray:
 
 def chain_to_csv(s: ChainSample, path) -> None:
     """Write a chain as CSV with columns t, u, y (17 significant digits, LF)."""
+    rows = zip(range(1, s.uniforms.size + 1), s.uniforms.tolist(), s.values.tolist())
     with open(path, "w", newline="\n") as fh:
-        fh.write("t,u,y\n")
-        for t, (u, y) in enumerate(zip(s.uniforms, s.values), start=1):
-            fh.write("%d,%.17g,%.17g\n" % (t, u, y))
+        fh.write("t,u,y\n" + "".join(map("%d,%.17g,%.17g\n".__mod__, rows)))

@@ -31,6 +31,8 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Sequence
 
+import numpy as np
+
 from .copulas import (
     Amh,
     Convex,
@@ -39,13 +41,11 @@ from .copulas import (
     Gaussian,
     Mardia,
     NumericFold,
-    Rect,
     Reflected,
     check_lag,
     density_grid,
     n_fold,
     numeric_fold_depth,
-    rectangle_probability,
     reflect_u,
     reflect_v,
 )
@@ -135,39 +135,30 @@ def psi_prime_lower_bound(c: Copula, n: int, m: int = DEFAULT_RESOLUTION) -> flo
     return min(density_extrema(c, n, m)[0], 1.0)
 
 
-def _corner_probability(c: Copula, eps: float, flip_u: bool, flip_v: bool) -> float:
-    """Mass of the eps-corner in the given orientation.
-
-    The high corners are folded onto the low corner of the reflected copula,
-    so the value is a single CDF evaluation at (eps, eps) with no
-    cancellation and no rounding of 1 - eps.
-    """
-    cc = reflect_u(c) if flip_u else c
-    cc = reflect_v(cc) if flip_v else cc
-    return rectangle_probability(cc, Rect(0.0, eps, 0.0, eps))
-
-
 def corner_divergence_scan(c: Copula, n: int, eps_list: Sequence[float]) -> list:
     """Max corner-event ratio P(corner) / eps^2 per epsilon, over 4 orientations.
 
-    Ratios growing like 1/eps certify that the lag-n psi-star coefficient is
-    infinite along this family of events.
+    Each corner mass is one CDF value of a reflection of the lag-n law (see
+    ``_corner_scan``).  Ratios growing like 1/eps certify that the lag-n
+    psi-star coefficient is infinite along this family of events.
     """
     return _corner_scan(n_fold(c, n), eps_list)
 
 
 def _corner_scan(cn: Copula, eps_list: Sequence[float]) -> list:
-    for eps in eps_list:
-        if not 0.0 < eps < 0.5:
-            raise DomainError("each epsilon must lie in (0, 0.5)")
-    orientations = ((False, False), (False, True), (True, False), (True, True))
-    out = []
-    for eps in eps_list:
-        ratio = max(
-            _corner_probability(cn, eps, fu, fv) for fu, fv in orientations
-        ) / (eps * eps)
-        out.append((float(eps), float(ratio)))
-    return out
+    """(eps, max corner ratio) per epsilon for the lag-n law ``cn``.
+
+    Every copula is grounded, C(0, v) = C(u, 0) = 0, so the corner
+    (0, eps]^2 has mass C(eps, eps).  A high corner is the low corner of a
+    reflection, which keeps 1 - eps out of the arithmetic.  So the scan is one
+    CDF evaluation per orientation, each over the whole epsilon array.
+    """
+    eps = np.array(eps_list, dtype=float)
+    if not np.all((eps > 0.0) & (eps < 0.5)):
+        raise DomainError("each epsilon must lie in (0, 0.5)")
+    orientations = (cn, reflect_v(cn), reflect_u(cn), reflect_v(reflect_u(cn)))
+    mass = np.max([cc.cdf_raw(eps, eps) for cc in orientations], axis=0)
+    return [(float(e), float(r)) for e, r in zip(eps, mass / (eps * eps))]
 
 
 def _grid_maxima_unbounded(cn: Copula, m: int, hi: float) -> tuple:

@@ -115,11 +115,9 @@ def surface_to_csv(c, path, points: int = SURFACE_POINTS) -> None:
     """Write the CDF surface on a points x points lattice as u,v,c rows."""
     xs = np.linspace(0.0, 1.0, points)
     uu, vv = np.meshgrid(xs, xs, indexing="ij")
-    zz = c.cdf_raw(uu, vv)
+    rows = zip(uu.ravel().tolist(), vv.ravel().tolist(), c.cdf_raw(uu, vv).ravel().tolist())
     with open(path, "w", newline="\n") as fh:
-        fh.write("u,v,c\n")
-        for u, v, z in zip(uu.ravel(), vv.ravel(), zz.ravel()):
-            fh.write("%.17g,%.17g,%.17g\n" % (u, v, z))
+        fh.write("u,v,c\n" + "".join(map("%.17g,%.17g,%.17g\n".__mod__, rows)))
 
 
 def _first_pi(cfg: ExperimentConfig) -> Perturbation:

@@ -110,6 +110,15 @@ def fgm_density_range(theta: float, n: int):
     return 1.0 - spread, 1.0 + spread
 
 
+def fgm_corner_ratio(theta: float, eps: float) -> float:
+    """Largest FGM corner ratio P(corner) / eps^2 over the four orientations.
+
+    The low corner has mass eps^2 (1 + theta (1 - eps)^2), and a reflection of
+    FGM(theta) is FGM(-theta) or itself, so the best orientation takes |theta|.
+    """
+    return 1.0 + abs(theta) * (1.0 - eps) ** 2
+
+
 def mardia_pi_weight(a: float, b: float, n: int):
     """Weight of independence in the lag-n power of a M + b W + (1-a-b) Pi.
 

@@ -19,16 +19,22 @@ from copulamix.copulas import (
     Gaussian,
     Mardia,
     NumericFold,
+    Rect,
     Reflected,
     density_grid,
     fold,
     n_fold,
+    numeric_fold_depth,
     perturb_m,
     perturb_pi,
+    rectangle_probability,
+    reflect_u,
+    reflect_v,
 )
 from copulamix import default_study_config, mixing
 from copulamix.errors import DomainError, FoldDepthError
 from copulamix.mixing import (
+    DEFAULT_EPS_LADDER,
     MixingVerdict,
     classify,
     corner_divergence_scan,
@@ -40,6 +46,7 @@ from copulamix.mixing import (
 
 from oracles import (
     amh_density_range,
+    fgm_corner_ratio,
     fgm_density_range,
     frechet_fgm_m_pi_floor,
     iterated_density_grid,
@@ -262,6 +269,62 @@ def test_w_corner_picks_the_antitone_orientation():
     # W concentrates on the antidiagonal: the (low, high) corner carries eps
     scan = corner_divergence_scan(W, 1, (0.01,))
     assert scan[0][1] == pytest.approx(1.0 / 0.01, abs=1e-9)
+
+
+@pytest.mark.parametrize("theta", [0.6, -0.6, -1.0])
+def test_fgm_corner_ratios_match_the_closed_form(theta):
+    scan = corner_divergence_scan(Fgm(theta), 1, DEFAULT_EPS_LADDER)
+    assert [e for e, _ in scan] == list(DEFAULT_EPS_LADDER)
+    for eps, ratio in scan:
+        assert ratio == pytest.approx(fgm_corner_ratio(theta, eps), rel=1e-14)
+
+
+def _inclusion_exclusion_scan(cn, eps_list):
+    """The corner scan from four-corner rectangle masses of each reflection."""
+    orientations = (cn, reflect_v(cn), reflect_u(cn), reflect_v(reflect_u(cn)))
+    return [(eps, max(rectangle_probability(cc, Rect(0.0, eps, 0.0, eps))
+                      for cc in orientations) / (eps * eps))
+            for eps in eps_list]
+
+
+# the last member's largest corner is the low corner of its v-reflection
+@pytest.mark.parametrize("c", ZOO + (Reflected(Amh(0.5), False, True),), ids=lambda c: repr(c)[:40])
+def test_closed_form_corner_scan_equals_inclusion_exclusion(c):
+    # grounded edges are exact zeros, so dropping them changes no bit
+    assert corner_divergence_scan(c, 1, DEFAULT_EPS_LADDER) == \
+        _inclusion_exclusion_scan(c, DEFAULT_EPS_LADDER)
+
+
+@pytest.mark.parametrize("cn", [
+    n_fold(Amh(0.5), 2),
+    n_fold(Amh(0.5), 3),
+    n_fold(Amh(-1.0), 2),
+    NumericFold(Fgm(0.3), Gaussian(0.5)),
+], ids=["amh-lag2", "amh-lag3", "amh-neg1-lag2", "fgm-gaussian"])
+def test_numeric_fold_corner_scan_matches_inclusion_exclusion(cn):
+    # one quadrature over all eps at once may round differently from one per eps
+    assert numeric_fold_depth(cn) > 0
+    scan = mixing._corner_scan(cn, DEFAULT_EPS_LADDER)
+    for (eps, ratio), (want_eps, want) in zip(scan, _inclusion_exclusion_scan(cn, DEFAULT_EPS_LADDER),
+                                              strict=True):
+        assert eps == want_eps
+        assert ratio == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def test_corner_scan_takes_one_cdf_call_per_orientation(monkeypatch):
+    calls = []
+    original = Fgm.cdf_raw
+
+    def recording(self, u, v):
+        calls.append((np.array(u), np.array(v)))
+        return original(self, u, v)
+
+    monkeypatch.setattr(Fgm, "cdf_raw", recording)
+    corner_divergence_scan(Fgm(0.6), 1, DEFAULT_EPS_LADDER)
+    assert len(calls) == 4
+    for u, v in calls:
+        assert u.tolist() == list(DEFAULT_EPS_LADDER)
+        assert v.tolist() == list(DEFAULT_EPS_LADDER)
 
 
 def test_corner_scan_validates_epsilon():
